@@ -4,10 +4,11 @@ Usage (from the root of a checkout)::
 
     python3 perfbench/determinism.py --workload table2-session --seed 7
 
-Runs the traced benchmark twice with the same seed and compares the
-per-query ``core.*`` work counts (explore nodes and edges, patterns,
-reconstruction expansions and enqueued frontier entries) and the
-``incremental.*`` counts of the per-layer report.  Queries that hit a
+Runs the traced benchmark twice with the same seed, for ``run_seconds``
+of ``BENCHMARK.json`` each, and compares the per-query ``core.*`` work
+counts (explore nodes and edges, patterns, reconstruction expansions and
+enqueued frontier entries) and the ``incremental.*`` counts of the
+per-layer report.  Queries that hit a
 time budget (explore or reconstruction truncated) in either run may
 differ and are listed by query instead of failing the check.  Exit
 status 0 means the two runs agree.
@@ -22,7 +23,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COUNTS = ("nodes", "edges", "patterns", "expansions", "enqueued")
+COUNTS = ("nodes", "edges", "pattern_count", "expansions", "enqueued")
 INCREMENTAL = ("incremental.dirty_types", "incremental.reused_share")
 
 
@@ -65,10 +66,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", default="table2-session")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=25)
     args = parser.parse_args(argv)
-    first = traced_run(args.workload, args.seed, args.seconds)
-    second = traced_run(args.workload, args.seed, args.seconds)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    first = traced_run(args.workload, args.seed, seconds)
+    second = traced_run(args.workload, args.seed, seconds)
     mismatches, truncated = compare(first, second)
     print(f"{len(first['work'])} queries compared; "
           f"{len(truncated)} hit a time budget and may differ: "

@@ -25,7 +25,8 @@ TAIL_Q = 0.90
 READY = "ready"         # prepare in-process, register round trip on the wire
 FIRST = "first"         # first completion on a scene that was just made ready
 STEADY = "steady"       # later completions, all cache misses
-EDIT = "edit"           # one delta batch (table2-session only)
+EDIT = "edit"           # one add batch, which re-prepares (table2-session)
+UNDO = "undo"           # one undo batch, a scene-table hit (table2-session)
 
 
 class Recorder:
@@ -48,6 +49,10 @@ class Recorder:
         self.late: list[float] = []
         #: Gen-2 collections that ran inside a steady completion.
         self.steady_gen2 = 0
+        #: Gen-2 collections per backend process during the timed phase
+        #: (over the wire; in-process the harness's own GC is the
+        #: program's).
+        self.backend_gen2: Optional[list[int]] = None
 
     # -- checks ---------------------------------------------------------------
 
@@ -79,7 +84,7 @@ class Recorder:
             "setup_s": (self.setup_seconds, "s"),
             "scene_ready_ms": (self._ms(READY), "ms"),
             "first_complete_ms": (self._ms(FIRST), "ms"),
-            "complete_ms": (self._ms(STEADY), "ms"),
+            "miss_complete_ms": (self._ms(STEADY), "ms"),
             "completions_per_s": (len(answered) / self.timed_seconds
                                   if self.timed_seconds else 0.0, "1/s"),
             "within_250ms_share": (
@@ -104,10 +109,9 @@ class Recorder:
         return {
             "scene_ready_ms": len(self.samples[READY]),
             "first_complete_ms": len(self.samples[FIRST]),
-            "complete_ms": len(self.samples[STEADY]),
+            "miss_complete_ms": len(self.samples[STEADY]),
             "completions_per_s": len(self.completions),
             "within_250ms_share": len(self.completions),
             "expected_mrr": len(self.ranks),
             "expected_top10_share": len(self.ranks),
-            "edit_ms": len(self.samples[EDIT]),
         }

@@ -37,6 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench import stats  # noqa: E402
+from perfbench.record import EDIT, STEADY, UNDO  # noqa: E402
 from perfbench.tracing import OUTSIDE, Tracer  # noqa: E402
 
 WORKLOADS = ("table2-session", "serve-cold")
@@ -70,6 +71,7 @@ PER_LAYER = {
     "core.reconstruct_enqueued": "count",
     "core.truncated_share": "share",
     "incremental.delta_ms": "ms",
+    "incremental.undo_ms": "ms",
     "incremental.reused_share": "share",
     "incremental.dirty_types": "count",
     "lang.parse_ms": "ms",
@@ -170,13 +172,14 @@ def main(argv=None) -> int:
     for name, (value, unit) in end_to_end.items():
         print(f"{name:24s} {value:12.4f} {unit:6s} n={counts.get(name, 1)}")
     tail = rec.tail_ms()
-    print(f"{'complete_p90_ms':24s} "
+    print(f"{'miss_complete_p90_ms':24s} "
           f"{tail if tail is not None else float('nan'):12.4f} {'ms':6s} "
-          f"n={len(rec.samples['steady'])} (report only)")
-    edits = rec.samples.get("edit") or []
-    if edits:
-        print(f"{'edit_ms':24s} {statistics.median(edits) * 1000:12.4f} "
-              f"{'ms':6s} n={len(edits)}")
+          f"n={len(rec.samples[STEADY])} (report only)")
+    for name, kind in (("edit_ms", EDIT), ("undo_ms", UNDO)):
+        batches = rec.samples.get(kind)
+        if batches:
+            print(f"{name:24s} {statistics.median(batches) * 1000:12.4f} "
+                  f"{'ms':6s} n={len(batches)} (report only)")
     print(f"setup: base {base_seconds:.3f} s (probes "
           f"{', '.join(f'{p:.3f}' for p in probes)}), inputs and topology "
           f"{inputs_seconds:.3f} s")
@@ -186,6 +189,9 @@ def main(argv=None) -> int:
           f"harness GC pause {tracer.gc_pause_total * 1000:.1f} ms, "
           f"gen-2 collections {tracer.gen2_collections} "
           f"({rec.steady_gen2} inside steady completions)")
+    if rec.backend_gen2 is not None:
+        print(f"backend gen-2 collections {rec.backend_gen2} "
+              f"(timed phase, from /v1/stats)")
     for message in rec.failures:
         print(f"FAILED: {message}")
 

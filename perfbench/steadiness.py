@@ -7,8 +7,8 @@ Usage (from the root of a checkout)::
 For each end-to-end metric it prints the median of the per-run values and
 their spread — ``(Q3 - Q1) / median`` with ``statistics.quantiles(values,
 n=4)`` — next to the metric's bound from ``BENCHMARK.json``.  A spread
-above the bound (``setup_s`` excepted) fails the check; one above a third
-of it is flagged as thin margin.  Runs go one at a time.
+above the bound fails the check; one above a third of it is flagged as
+thin margin.  Runs go one at a time, untraced, for ``run_seconds`` each.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", default="1-10")
-    parser.add_argument("--trace", type=int, default=0)
     parser.add_argument("--output", default=None,
                         help="also write every run's result line here")
     args = parser.parse_args(argv)
@@ -50,7 +49,7 @@ def main(argv=None) -> int:
             config["command"] + ["--workload", args.workload,
                                  "--seed", str(seed),
                                  "--seconds", str(config["run_seconds"]),
-                                 "--trace", str(args.trace)],
+                                 "--trace", "0"],
             cwd=ROOT, capture_output=True, text=True, timeout=900)
         lines = completed.stdout.strip().splitlines()
         if completed.returncode != 0 or not lines:
@@ -59,7 +58,7 @@ def main(argv=None) -> int:
             return 1
         result = json.loads(lines[-1])
         host = "\n    ".join(line for line in lines
-                           if line.startswith(("host.", "FAILED")))
+                           if line.startswith(("host.", "backend", "FAILED")))
         runs.append({"seed": seed, "host": host, **result})
         values = " ".join(f"{name}={entry['value']:.4g}"
                           for name, entry in result["metrics"].items())
@@ -75,7 +74,7 @@ def main(argv=None) -> int:
         spread = relative_spread(values)
         bound = bounds.get(name)
         verdict = ""
-        if bound is not None and name != "setup_s":
+        if bound is not None:
             if spread > bound:
                 verdict, failed = "OVER BOUND", True
             elif spread > bound / 3:

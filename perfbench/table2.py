@@ -11,12 +11,13 @@ Each scene runs one session:
    :mod:`repro.bench.suite`;
 3. ``rounds`` seeded edit rounds: add a local through
    :func:`~repro.incremental.delta.apply_scene_delta`, complete (a miss on
-   a warm scene: ``complete_ms``), undo the add, and
+   a warm scene: ``miss_complete_ms``), undo the add, and
    complete again — that last answer must be a cache hit with the
-   pre-edit ranking byte for byte (checked, not a metric).
+   pre-edit ranking byte for byte (checked, not timed as a metric).
 
-Prepared scenes stay resident under the engine's own LRU bound; the
-harness keeps only the built scenes it hands the engine.  No server or
+Prepared scenes stay resident under the engine's own LRU bound.  The
+harness drops each built scene once its session has run and keeps nothing
+of a delta or a completion but numbers.  No server or
 router is in the path, so core explore/patterns/reconstruct, ``prepare``,
 deltas and GC on paper-sized heaps carry the whole cost.  Edits go through
 ``apply_scene_delta`` directly: a scene session (``open_session``) cannot
@@ -30,8 +31,9 @@ import random
 import statistics
 import time
 
-from perfbench.layers import engine_layers, instrumented, work_counts
-from perfbench.record import EDIT, FIRST, READY, STEADY, Recorder
+from perfbench.layers import (engine_layers, instrumented, stage_record,
+                              work_counts)
+from perfbench.record import EDIT, FIRST, READY, STEADY, UNDO, Recorder
 from perfbench.tracing import Tracer, reference_loop_ms
 
 #: Strata of the Table-2 rows: (stratum, rows drawn, edit rounds per
@@ -40,12 +42,14 @@ from perfbench.tracing import Tracer, reference_loop_ms
 #: The 27 ``java.io`` rows (3.4k declarations) carry most of the warm
 #: misses; they are split into twelve strata of rows with neighbouring
 #: warm-miss cost (measured with the collector off, 60-107 ms), so every
-#: sample spans the whole cost range and the median first completion lies
-#: well inside the thirteen 3k-declaration sessions.  Larger scenes run
-#: fewer rounds, one of their misses costing two to five ``java.io`` ones.
-#: Both 10k rows always run, with two rounds each: the p90 of the warm
-#: misses then sits among the 8k rows' misses (330-400 ms) however many
-#: gen-2 pauses, of one second or so each, land in the top ten.
+#: sample spans the whole cost range.  A cold first completion allocates
+#: more long-lived objects than any other operation, and three to five of
+#: them per run take a gen-2 pause of about a second.  17 of the 20
+#: sessions are on 3-5k scenes (first completions under 210 ms), so the
+#: median first completion stays among them however the pauses fall; with
+#: 14 it flipped to the 6-10k scenes (250-450 ms) when a fourth pause
+#: landed on a 3-5k one.  Larger scenes run fewer rounds, one of their
+#: misses costing two to five ``java.io`` ones.
 STRATA = (
     ("io-a", 1, 6, (5, 44)),
     ("io-b", 1, 6, (37, 42)),
@@ -59,13 +63,11 @@ STRATA = (
     ("io-j", 1, 6, (10, 17, 19)),
     ("io-k", 1, 6, (3, 16, 39)),
     ("io-l", 1, 6, (6, 40)),
-    ("net-3k", 1, 5, (9, 45, 50)),
-    ("awt-5k", 1, 5, (1, 13, 41)),
-    ("awt-8k", 1, 5, (21, 22)),
-    ("swing-6k", 1, 5, (12, 23, 26, 31, 35, 48)),
-    ("swing-8k-a", 1, 5, (24, 30, 32, 34)),
-    ("swing-8k-b", 1, 5, (27, 33, 49)),
-    ("swing-10k", 2, 2, (28, 29)),
+    ("net-3k", 2, 5, (9, 45, 50)),
+    ("awt-5k", 3, 5, (1, 13, 41)),
+    ("swing-6k", 1, 4, (12, 23, 26, 31, 35, 48)),
+    ("8k", 1, 3, (21, 22, 24, 27, 30, 32, 33, 34, 49)),
+    ("swing-10k", 1, 2, (28, 29)),
 )
 
 #: Local types the seeded edits draw from (present in every scene).
@@ -114,9 +116,11 @@ class Table2Session:
         self.seconds = seconds
         self.tracer = tracer
         self.recorder = Recorder()
-        #: (kind, SynthesisResult, completion span) of traced syntheses.
+        #: (kind, stage record, completion span) of traced syntheses.
         self.syntheses: list[tuple] = []
-        self.deltas: list = []
+        #: (kind, reused, dirty types, span) of every delta batch, kind
+        #: ``add`` (re-prepares) or ``undo`` (a scene-table hit).
+        self.deltas: list[tuple] = []
 
     # -- set-up ---------------------------------------------------------------
 
@@ -132,7 +136,12 @@ class Table2Session:
         self.engine = CompletionEngine(ranking=RankingPipeline.standard())
 
     def setup_inputs(self) -> None:
-        """Build the sampled scenes and the seeded edit scripts."""
+        """Build the sampled scenes and the seeded edit scripts.
+
+        Scenes are built here, not when their session starts: a build
+        allocates enough to start a gen-2 collection, which then lands
+        on the first completions of some sessions and not of others.
+        """
         from repro.bench.suite import BENCHMARKS, build_scene
 
         self.sessions = []
@@ -148,7 +157,7 @@ class Table2Session:
         pass
 
     def peak_rss_mb(self) -> float:
-        """This process's peak resident set: harness scenes plus engine."""
+        """This process's peak resident set: harness inputs plus engine."""
         import resource
 
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -172,7 +181,8 @@ class Table2Session:
         def late() -> None:
             rec.late.append(clock() - due)
 
-        for row, spec, scene, edits in self.sessions:
+        while self.sessions:
+            row, spec, scene, edits = self.sessions.pop(0)
             rec.host_ref_ms.append(reference_loop_ms())
             request = f"row{row}"
             due = clock()
@@ -204,14 +214,15 @@ class Table2Session:
 
             for index, line in enumerate(edits, start=1):
                 late()
-                t0 = clock()
                 with tracer.span("lang.parse", request):
                     add = [DeltaOp.add(line)]
-                with tracer.span("incremental.delta", request):
+                t0 = clock()
+                with tracer.span("incremental.delta", request) as span:
                     added = apply_scene_delta(engine, prepared, add,
                                               name=spec.name)
                 rec.samples[EDIT].append(clock() - t0)
-                self.deltas.append(added)
+                self.deltas.append(("add", added.reused, added.dirty_types,
+                                    span))
                 due = clock()
                 rec.attempt(not added.reused and added.added == (add[0].name,),
                             f"row {row}: add {line!r} did not re-prepare")
@@ -233,12 +244,13 @@ class Table2Session:
 
                 late()
                 t0 = clock()
-                with tracer.span("incremental.delta", request):
+                with tracer.span("incremental.delta", request) as span:
                     undone = apply_scene_delta(
                         engine, added.prepared,
                         [DeltaOp.remove(add[0].name)], name=spec.name)
-                rec.samples[EDIT].append(clock() - t0)
-                self.deltas.append(undone)
+                rec.samples[UNDO].append(clock() - t0)
+                self.deltas.append(("undo", undone.reused,
+                                    undone.dirty_types, span))
                 due = clock()
                 rec.attempt(undone.reused and undone.prepared.fingerprint
                             == prepared.fingerprint,
@@ -246,16 +258,13 @@ class Table2Session:
                             f"to the prepared scene")
 
                 late()
-                t0 = clock()
                 with tracer.span("engine.complete", request):
                     again = engine.complete(undone.prepared)
-                seconds = clock() - t0
                 due = clock()
-                ok = rec.attempt(
+                rec.attempt(
                     again.cache_hit and _ranking(again.result) == baseline,
                     f"row {row} round {index}: post-undo completion was not "
                     f"a hit with the pre-edit ranking")
-                rec.completion(seconds, ok)
                 prepared = undone.prepared
         rec.timed_seconds = clock() - started
         rec.host_ref_ms.append(reference_loop_ms())
@@ -263,7 +272,7 @@ class Table2Session:
 
     def _note(self, row: int, kind: str, index: int, result, span) -> None:
         if span is not None:
-            self.syntheses.append((kind, result, span))
+            self.syntheses.append((kind, stage_record(result), span))
         self.recorder.work.append({"query": f"row{row}/{kind}{index}",
                                    **work_counts(result)})
 
@@ -276,13 +285,15 @@ class Table2Session:
         lookups = hits + after.misses - before.misses
         metrics["engine.cache_hit_ratio"] = hits / lookups if lookups else 0.0
         metrics["engine.cache_evictions"] = after.evictions - before.evictions
-        metrics["incremental.delta_ms"] = statistics.median(
-            span.seconds for span in self.tracer.named("incremental.delta")
-        ) * 1000.0
+        for metric, kind in (("incremental.delta_ms", "add"),
+                             ("incremental.undo_ms", "undo")):
+            metrics[metric] = statistics.median(
+                span.seconds for k, _, _, span in self.deltas if k == kind
+            ) * 1000.0
         metrics["incremental.reused_share"] = (
-            sum(1 for outcome in self.deltas if outcome.reused)
+            sum(1 for _, reused, _, _ in self.deltas if reused)
             / len(self.deltas))
         metrics["incremental.dirty_types"] = sum(
-            outcome.dirty_types for outcome in self.deltas)
+            dirty for _, _, dirty, _ in self.deltas)
         metrics["gc.gen2"] = self.tracer.gen2_collections
         return metrics

@@ -14,7 +14,7 @@ from perfbench.record import Recorder
 from perfbench.run import PER_LAYER
 from perfbench.tracing import OUTSIDE, Span, Tracer, covered_seconds, \
     self_seconds
-from perfbench.wire import signatures, type_of
+from perfbench.wire import backend_gen2, signatures, type_of
 
 
 # -- percentiles --------------------------------------------------------------
@@ -166,6 +166,19 @@ def test_untraced_runs_still_total_gc():
         tracer.on_gc("stop", {"generation": 2})
     assert tracer.gc_pause == {OUTSIDE: 0.4}
     assert tracer.gen2_collections == 1
+
+
+def test_backend_gen2_diffs_each_shard_from_v1_stats():
+    def stats(*collections):
+        return {"shards": [{"backend_id": f"b{index}",
+                            "stats": {"gc": {"collections": counts}}}
+                           for index, counts in enumerate(collections)]}
+
+    before = stats([100, 10, 3], [90, 9, 1])
+    after = stats([150, 14, 5], [95, 9, 1])
+    assert backend_gen2(before, after) == [2, 0]
+    # A backend missing from either document is left out.
+    assert backend_gen2(stats([1, 1, 1]), after) == [4]
 
 
 # -- serve-cold's independent answer check ------------------------------------

@@ -18,7 +18,8 @@ import statistics
 import time
 from typing import Optional
 
-from perfbench.layers import engine_layers, instrumented, work_counts
+from perfbench.layers import (engine_layers, instrumented, stage_record,
+                              work_counts)
 from perfbench.record import FIRST, READY, STEADY, Recorder
 from perfbench.tracing import Tracer, reference_loop_ms
 
@@ -59,6 +60,20 @@ def _check_ranks(response: dict) -> Optional[str]:
     if [s.get("rank") for s in snippets] != list(range(1, len(snippets) + 1)):
         return f"ranks not 1..{len(snippets)}"
     return None
+
+
+def backend_gen2(before: dict, after: dict) -> list[int]:
+    """Gen-2 collections per backend between two ``/v1/stats`` documents
+    (the shards' ``gc.collections``), in backend order."""
+    def collections(stats: dict) -> dict:
+        return {shard["backend_id"]:
+                shard.get("stats", {}).get("gc", {}).get("collections")
+                for shard in stats.get("shards", [])}
+
+    old = collections(before)
+    return [new[2] - old[backend][2]
+            for backend, new in sorted(collections(after).items())
+            if new and old.get(backend)]
 
 
 class Topology:
@@ -212,8 +227,9 @@ class ServeCold:
         self.tracer = tracer
         self.recorder = Recorder()
         self.topology = Topology()
-        #: Completion responses with their round trip: (kind, seconds, body).
-        self.responses: list[tuple[str, float, dict]] = []
+        #: What the per-layer metrics read of each completion response:
+        #: (kind, round trip seconds, cache_hit, server_ms, synthesis_ms).
+        self.responses: list[tuple] = []
         #: Per released scene id: backend -> completions served (traced).
         self.scene_spread: dict[str, dict] = {}
 
@@ -258,6 +274,8 @@ class ServeCold:
             await sampler
         async with self.client() as client:
             self.stats_after = await client.stats()
+        self.recorder.backend_gen2 = backend_gen2(self.stats_before,
+                                                  self.stats_after)
 
     async def complete(self, client, kind: str, scene_id: str, goal=None,
                        n: int = 10, request: Optional[str] = None
@@ -277,7 +295,9 @@ class ServeCold:
         if problem is not None:
             self.recorder.attempt(False, f"{kind} complete: {problem}")
             return seconds, None
-        self.responses.append((kind, seconds, response))
+        self.responses.append((kind, seconds, response["cache_hit"],
+                               response.get("server_ms"),
+                               response.get("synthesis_ms")))
         return seconds, response
 
     # -- per-layer metrics ----------------------------------------------------
@@ -303,34 +323,24 @@ class ServeCold:
         metrics["server.rejected"] = diff("server", "rejected_overload")
         fired = diff("router", "hedges", "fired")
         won = diff("router", "hedges", "won")
-        served_misses = [body for _, _, body in self.responses
-                         if not body.get("cache_hit")]
+        served_misses = [synthesis_ms for _, _, hit, _, synthesis_ms
+                         in self.responses if not hit]
         metrics["router.hedge_ratio"] = (fired / len(served_misses)
                                          if served_misses else 0.0)
         metrics["router.hedge_win_ratio"] = won / fired if fired else 0.0
         metrics["router.failovers"] = diff("router", "failovers")
         metrics["router.retry_denied"] = diff("router", "retry_budget",
                                               "denied")
-        gen2 = 0
-        shards_before = {shard["backend_id"]: shard
-                         for shard in before.get("shards", [])}
-        for shard in after.get("shards", []):
-            old = shards_before.get(shard["backend_id"], {})
-            new_gc = shard.get("stats", {}).get("gc", {}).get("collections")
-            old_gc = old.get("stats", {}).get("gc", {}).get("collections")
-            if new_gc and old_gc:
-                gen2 += new_gc[2] - old_gc[2]
-        metrics["gc.gen2"] = gen2
-        steady = [(seconds, body) for kind, seconds, body in self.responses
-                  if kind == STEADY]
+        metrics["gc.gen2"] = sum(self.recorder.backend_gen2)
+        steady = [(seconds, server_ms) for kind, seconds, _, server_ms, _
+                  in self.responses if kind == STEADY]
         if steady:
             metrics["server.backend_ms"] = statistics.median(
-                body["server_ms"] for _, body in steady)
+                server_ms for _, server_ms in steady)
             metrics["router.hop_ms"] = statistics.median(
-                seconds * 1000.0 - body["server_ms"] for seconds, body in steady)
+                seconds * 1000.0 - server_ms for seconds, server_ms in steady)
         if served_misses:
-            metrics["server.synthesis_ms"] = statistics.median(
-                body["synthesis_ms"] for body in served_misses)
+            metrics["server.synthesis_ms"] = statistics.median(served_misses)
         metrics["router.replica_spread"] = self._replica_spread()
         metrics.update(self._replay())
         return metrics
@@ -394,7 +404,7 @@ class ServeCold:
                     with tracer.span("engine.complete") as span:
                         served = engine.complete(prepared, parse_type(goal))
                     syntheses.append(("first" if index == 0 else "miss",
-                                      served.result, span))
+                                      stage_record(served.result), span))
                     self.recorder.work.append(
                         {"query": f"replay{number}/{index}",
                          **work_counts(served.result)})
