@@ -2,8 +2,8 @@
 
 Spawns ``repro route`` at its defaults (2 backend processes, R=2
 replication, rerank on, GC untuned) and drives it from this one process
-over 2 connections in a closed loop.  Each step, each connection
-registers a fresh seeded scene text of 1.2k declarations, asks
+over one connection in a closed loop, one request in flight.  For each
+scene it registers a fresh seeded scene text of 1.2k declarations, asks
 :data:`COLD_GOALS` distinct goals (all cache misses) and releases the
 scene.  Registration (parse, prepare on both R=2 owners, journal), cold
 synthesis, replica choice and hedging dominate; result-cache hits and
@@ -27,21 +27,14 @@ from perfbench.tracing import Tracer, reference_loop_ms
 COLD_GOALS = 6
 COLD_DECLARATIONS = 1200
 COLD_BASE_TYPES = 120
-#: Tenants that stay registered through a serve-cold run.  A serving
-#: backend holds resident tenants; without them each registration grows
-#: the long-lived heap by a quarter, and the gen-2 collection that follows
-#: lands on about half of the first completions, a split that flips the
-#: median from run to run.
-COLD_RESIDENT = 8
-#: Offset between the connections' starts within a lockstep phase: two
-#: requests that reach the router at once can both see the same replica
-#: idle and land on it together.
-COLD_STAGGER_S = 0.010
-#: serve-cold scenes per second of ``--seconds`` (fixed work).
-COLD_SCENES_PER_S = 1.8
-
-#: Connections the load generator holds open.
-CONNECTIONS = 2
+#: serve-cold scenes per second of ``--seconds`` (fixed work).  No
+#: tenant stays registered between them: with 8 resident tenants each
+#: backend ran a gen-2 collection about every second build, and whether
+#: both owners collected in the same registration split the registrations
+#: into two modes 0.2 s apart with the median on the boundary.  On a heap
+#: of little more than the scene at hand, every build pays a short
+#: collection.
+COLD_SCENES_PER_S = 1.2
 #: Seconds between host reference-loop samples during a timed phase.
 REF_INTERVAL_S = 1.0
 #: Scenes a traced run replays in-process to price lang, engine and core.
@@ -411,20 +404,21 @@ class ServeCold:
         return engine_layers(tracer, syntheses)
 
     def setup_inputs(self) -> None:
-        count = 2 * max(17, round(self.seconds * COLD_SCENES_PER_S / 2))
+        count = max(17, round(self.seconds * COLD_SCENES_PER_S))
         self.scenes = [cold_scene_text(self.seed, index)
                        for index in range(count)]
         self.tables = [signatures(text) for text, _ in self.scenes]
         asyncio.run(self._warm())
 
     async def _warm(self) -> None:
-        """Register the resident tenants and answer one goal on each."""
+        """One untimed scene through the whole loop, so that no lazy
+        import or first-use cost of the router and backends is timed."""
+        text, goals = cold_scene_text(self.seed, -1)
         async with self.client() as client:
-            for index in range(COLD_RESIDENT):
-                text, goals = cold_scene_text(self.seed, -1 - index)
-                registered = await client.register_scene(
-                    text, name=f"resident-{index}")
-                await client.complete(registered["scene_id"], goal=goals[0])
+            registered = await client.register_scene(text, name="warm-up")
+            for goal in goals:
+                await client.complete(registered["scene_id"], goal=goal)
+            await client.release_scene(registered["scene_id"])
 
     def run(self) -> None:
         asyncio.run(self._timed(self._closed_loop))
@@ -434,91 +428,54 @@ class ServeCold:
 
         rec, tracer = self.recorder, self.tracer
         clock = time.perf_counter
-
-        async def register(client, index: int, text: str) -> Optional[str]:
-            started = clock()
-            try:
-                with tracer.span("wire.register", f"scene{index}"):
-                    registered = await client.register_scene(
-                        text, name=f"cold-{self.seed}-{index}")
-            except ReproError as exc:
-                rec.attempt(False, f"register: {exc}")
-                return None
-            rec.attempt(True)
-            rec.samples[READY].append(clock() - started)
-            return registered["scene_id"]
-
-        async def ask(client, index: int, scene_id: str, number: int,
-                      goal: str, table: dict) -> None:
-            kind = FIRST if number == 0 else STEADY
-            seconds, response = await self.complete(
-                client, kind, scene_id, goal=goal, request=f"scene{index}")
-            ok = response is not None and rec.attempt(
-                not response["cache_hit"]
-                and all(type_of(s["code"], table) == goal
-                        for s in response["snippets"]),
-                f"scene{index} {goal}: a hit, or a snippet that is not a "
-                f"well-typed {goal}")
-            if ok:
-                rec.samples[kind].append(seconds)
-                rec.ranks.append(next(
-                    (s["rank"] for s in response["snippets"]
-                     if s["code"] == f"want{number}(seed0)"), None))
-            rec.completion(seconds, ok)
-
-        async def release(client, index: int, scene_id: str) -> None:
-            try:
-                if tracer.enabled:
-                    await self.note_spread(client, scene_id)
-                with tracer.span("wire.release", f"scene{index}"):
-                    await client.release_scene(scene_id)
-                rec.attempt(True)
-            except ReproError as exc:
-                rec.attempt(False, f"release: {exc}")
-
-        async def phase(calls) -> None:
-            started = clock()
-
-            async def staggered(slot, call):
-                due = started + slot * COLD_STAGGER_S
-                await asyncio.sleep(due - clock())
+        # One connection, one request in flight: registration already
+        # occupies both R=2 owners one after the other, and a second
+        # connection only adds queueing behind the other's parse, which
+        # on a shared 2-vCPU host measures the scheduler, not the program.
+        async with self.client() as client:
+            due = clock()
+            for index, ((text, goals), table) in enumerate(
+                    zip(self.scenes, self.tables)):
+                request = f"scene{index}"
                 rec.late.append(clock() - due)
-                await call
-
-            await asyncio.gather(*(staggered(slot, call)
-                                   for slot, call in enumerate(calls)))
-
-        clients = [self.client() for _ in range(CONNECTIONS)]
-        try:
-            # Lockstep phases: in each step every connection registers one
-            # scene, then asks its goals one by one, then releases it, and
-            # each phase waits for all connections.  Registrations (a parse
-            # on both owners) then overlap only registrations; a
-            # free-running pair drifts in and out of phase, and whether a
-            # completion meets the other connection's parse moves every
-            # timing from run to run.
-            for step in range(0, len(self.scenes), CONNECTIONS):
-                batch = list(enumerate(self.scenes[step:step + CONNECTIONS],
-                                       start=step))
-                ids = [None] * len(batch)
-
-                async def registered(slot, client, index, text):
-                    ids[slot] = await register(client, index, text)
-
-                await phase(registered(slot, client, index, text)
-                            for slot, (client, (index, (text, _)))
-                            in enumerate(zip(clients, batch)))
-                for number in range(COLD_GOALS):
-                    await phase(
-                        ask(client, index, ids[slot], number, goals[number],
-                            self.tables[index])
-                        for slot, (client, (index, (_, goals)))
-                        in enumerate(zip(clients, batch))
-                        if ids[slot] is not None)
-                await phase(release(client, index, ids[slot])
-                            for slot, (client, (index, _))
-                            in enumerate(zip(clients, batch))
-                            if ids[slot] is not None)
-        finally:
-            for c in clients:
-                await c.close()
+                started = clock()
+                try:
+                    with tracer.span("wire.register", request):
+                        registered = await client.register_scene(
+                            text, name=f"cold-{self.seed}-{index}")
+                except ReproError as exc:
+                    due = clock()
+                    rec.attempt(False, f"register: {exc}")
+                    continue
+                rec.samples[READY].append(clock() - started)
+                due = clock()
+                rec.attempt(True)
+                scene_id = registered["scene_id"]
+                for number, goal in enumerate(goals):
+                    kind = FIRST if number == 0 else STEADY
+                    rec.late.append(clock() - due)
+                    seconds, response = await self.complete(
+                        client, kind, scene_id, goal=goal, request=request)
+                    due = clock()
+                    ok = response is not None and rec.attempt(
+                        not response["cache_hit"]
+                        and all(type_of(s["code"], table) == goal
+                                for s in response["snippets"]),
+                        f"{request} {goal}: a hit, or a snippet that is not "
+                        f"a well-typed {goal}")
+                    if ok:
+                        rec.samples[kind].append(seconds)
+                        rec.ranks.append(next(
+                            (s["rank"] for s in response["snippets"]
+                             if s["code"] == f"want{number}(seed0)"), None))
+                    rec.completion(seconds, ok)
+                try:
+                    if tracer.enabled:
+                        await self.note_spread(client, scene_id)
+                    rec.late.append(clock() - due)
+                    with tracer.span("wire.release", request):
+                        await client.release_scene(scene_id)
+                    rec.attempt(True)
+                except ReproError as exc:
+                    rec.attempt(False, f"release: {exc}")
+                due = clock()
