@@ -31,20 +31,27 @@ class LoadedEnvironment:
     spec: EnvironmentSpec
 
 
+def default_style(kind: DeclKind) -> RenderStyle:
+    """The render style of a declaration written without ``[style=...]``:
+    literals render verbatim, everything else as a value."""
+    return RenderStyle.LITERAL if kind is DeclKind.LITERAL else RenderStyle.VALUE
+
+
+def default_display(name: str, style: RenderStyle) -> str:
+    """The display of a declaration written without ``[display=...]``:
+    a literal shows its own name, anything else renders from its style.
+
+    The serializer writes ``[display=...]`` exactly when a display
+    differs from this default, so serialize -> reload is an exact fixed
+    point (scene fingerprints — and therefore result-cache keys and
+    content-derived scene ids — depend on it).
+    """
+    return name if style is RenderStyle.LITERAL else ""
+
+
 def _render_spec(decl: DeclarationSpec) -> RenderSpec:
-    if decl.style is not None:
-        if decl.style is RenderStyle.LITERAL:
-            # Same display default as the style-less literal branch below,
-            # so serialize -> reload is an exact fixed point: the
-            # serializer omits ``[display=...]`` when display equals the
-            # name, and reloading must reconstruct the identical spec
-            # (scene fingerprints — and therefore result-cache keys and
-            # content-derived scene ids — depend on it).
-            return RenderSpec(decl.style, decl.display or decl.name)
-        return RenderSpec(decl.style, decl.display)
-    if decl.kind is DeclKind.LITERAL:
-        return RenderSpec(RenderStyle.LITERAL, decl.display or decl.name)
-    return RenderSpec(RenderStyle.VALUE, decl.display)
+    style = decl.style if decl.style is not None else default_style(decl.kind)
+    return RenderSpec(style, decl.display or default_display(decl.name, style))
 
 
 def load_environment_text(text: str) -> LoadedEnvironment:

@@ -1,6 +1,7 @@
 """Recursive-descent parser for type expressions and environment files.
 
-Grammar (line-oriented; ``#`` comments; blank lines ignored)::
+Grammar (line-oriented; ``#`` comments; blank lines ignored; a backslash
+before a newline continues a statement)::
 
     file      := { statement }
     statement := "type" IDENT+                          # declare base types
@@ -9,204 +10,253 @@ Grammar (line-oriented; ``#`` comments; blank lines ignored)::
                | "goal" type                            # desired type
     KIND      := "lambda" | "local" | "coercion" | "class"
                | "package" | "literal" | "imported"
-    name      := IDENT | STRING                         # strings for literals
+    name      := IDENT                                  # plain name
+               | STRING                                 # literal, quotes kept
+               | QUOTED                                 # any other name
     type      := atom { "->" type }                     # right-associative
     atom      := IDENT | "(" type ")"
     attribute := "[" IDENT "=" (NUMBER | IDENT | STRING) "]"
 
+    IDENT     := [A-Za-z_$] [A-Za-z0-9_$.]*             # not ending in '.'
+    NUMBER    := [0-9]+                                 # ASCII digits only
+    STRING    := '"' { char | "\\" char } '"'           # no raw newline
+    QUOTED    := "`" { char | "\\" char } "`"           # no raw newline
+
+A ``QUOTED`` name reads back as the bare name between the backquotes
+(```java.lang.Object.equals(Object)``` names
+``java.lang.Object.equals(Object)``, ```0``` the literal ``0``); inside
+strings and quoted names a backslash keeps the character after it.
+
 Recognised attributes: ``freq`` (corpus frequency, integer), ``style``
 (render style name), ``display`` (rendered head text).
+
+The parser walks the raw token texts of :func:`repro.lang.lexer.scan`
+by index and tells kinds apart by their first character, so a parse
+builds no token objects.  Line numbers come from counting newline (and
+continuation) tokens.  Only when input is rejected does it run
+:func:`~repro.lang.lexer.tokenize` over the text: that raises any
+lexical error first, and otherwise gives the failing token's kind, text,
+line and column for the message.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from bisect import bisect_right
+from typing import Callable
 
 from repro.core.errors import TypeSyntaxError
 from repro.core.types import Arrow, BaseType, Type
 from repro.lang.ast import (DeclarationSpec, EnvironmentSpec, GoalSpec,
                             KIND_KEYWORDS, STYLE_NAMES, SubtypeSpec)
-from repro.lang.lexer import Token, TokenKind, tokenize
+from repro.lang.lexer import IDENT_START, Token, TokenKind, scan, tokenize, unquote
+
+_DIGITS = frozenset("0123456789")
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
-        self._position = 0
+class _Rejected(Exception):
+    """Input rejected at token *index*; *message* formats the error from
+    that token once :func:`tokenize` has produced it."""
 
-    # -- token plumbing -----------------------------------------------------
+    def __init__(self, index: int, message: Callable[[Token], str]):
+        super().__init__(index)
+        self.index = index
+        self.message = message
 
-    def peek(self) -> Token:
-        return self._tokens[self._position]
 
-    def advance(self) -> Token:
-        token = self._tokens[self._position]
-        if token.kind is not TokenKind.EOF:
-            self._position += 1
-        return token
+def _expected(kind: TokenKind) -> Callable[[Token], str]:
+    return lambda token: (f"expected {kind.value!r}, found "
+                          f"{token.kind.value!r} ({token.text!r})")
 
-    def expect(self, kind: TokenKind) -> Token:
-        token = self.peek()
-        if token.kind is not kind:
-            raise TypeSyntaxError(
-                f"expected {kind.value!r}, found {token.kind.value!r} "
-                f"({token.text!r})", token.line, token.column)
-        return self.advance()
 
-    def skip_newlines(self) -> None:
-        while self.peek().kind is TokenKind.NEWLINE:
-            self.advance()
+def _syntax_error(text: str, rejected: _Rejected) -> TypeSyntaxError:
+    """The error for *rejected*: a lexical error anywhere in *text* wins,
+    as :func:`tokenize` raises it."""
+    token = tokenize(text)[rejected.index]
+    return TypeSyntaxError(rejected.message(token), token.line, token.column)
 
-    def end_statement(self) -> None:
-        token = self.peek()
-        if token.kind in (TokenKind.NEWLINE, TokenKind.EOF):
-            self.skip_newlines()
-            return
-        raise TypeSyntaxError(
-            f"unexpected {token.text!r} at end of statement",
-            token.line, token.column)
 
-    # -- types ----------------------------------------------------------------
+def _is_ident(raw: str) -> bool:
+    return raw[:1] in IDENT_START
 
-    def parse_type(self) -> Type:
-        left = self.parse_type_atom()
-        if self.peek().kind is TokenKind.ARROW:
-            self.advance()
-            return Arrow(left, self.parse_type())
-        return left
 
-    def parse_type_atom(self) -> Type:
-        token = self.peek()
-        if token.kind is TokenKind.IDENT:
-            self.advance()
-            return BaseType(token.text)
-        if token.kind is TokenKind.LPAREN:
-            self.advance()
-            inner = self.parse_type()
-            self.expect(TokenKind.RPAREN)
-            return inner
-        raise TypeSyntaxError(
-            f"expected a type, found {token.text!r}", token.line, token.column)
+def _value_text(raw: str) -> str | None:
+    """The value of an attribute token: IDENT and NUMBER as written, a
+    STRING without quotes and escapes; None for anything else."""
+    first = raw[:1]
+    if first in IDENT_START or first in _DIGITS:
+        return raw
+    if first == '"' and len(raw) > 1:
+        return unquote(raw)
+    return None
 
-    # -- statements -----------------------------------------------------------
 
-    def parse_file(self) -> EnvironmentSpec:
-        spec = EnvironmentSpec()
-        self.skip_newlines()
-        while self.peek().kind is not TokenKind.EOF:
-            self.parse_statement(spec)
-            self.skip_newlines()
-        return spec
-
-    def parse_statement(self, spec: EnvironmentSpec) -> None:
-        token = self.peek()
-        if token.kind is not TokenKind.IDENT:
-            raise TypeSyntaxError(
-                f"expected a statement keyword, found {token.text!r}",
-                token.line, token.column)
-        keyword = token.text
-
-        if keyword == "type":
-            self.advance()
-            names = []
-            while self.peek().kind is TokenKind.IDENT:
-                names.append(self.advance().text)
-            if not names:
-                raise TypeSyntaxError("'type' requires at least one name",
-                                      token.line, token.column)
-            spec.base_types.extend(names)
-            self.end_statement()
-            return
-
-        if keyword == "subtype":
-            self.advance()
-            subtype = self.expect(TokenKind.IDENT).text
-            self.expect(TokenKind.SUBTYPE)
-            supertype = self.expect(TokenKind.IDENT).text
-            spec.subtypes.append(SubtypeSpec(subtype, supertype, token.line))
-            self.end_statement()
-            return
-
-        if keyword == "goal":
-            self.advance()
-            goal_type = self.parse_type()
-            if spec.goal is not None:
-                raise TypeSyntaxError("duplicate 'goal' statement",
-                                      token.line, token.column)
-            spec.goal = GoalSpec(goal_type, token.line)
-            self.end_statement()
-            return
-
-        kind = KIND_KEYWORDS.get(keyword)
-        if kind is None:
-            raise TypeSyntaxError(
-                f"unknown statement keyword {keyword!r}",
-                token.line, token.column)
-        self.advance()
-        spec.declarations.append(self.parse_declaration(kind, token))
-        self.end_statement()
-
-    def parse_declaration(self, kind, keyword_token: Token) -> DeclarationSpec:
-        name_token = self.peek()
-        if name_token.kind is TokenKind.STRING:
-            name = f'"{name_token.text}"'
-            self.advance()
-        else:
-            name = self.expect(TokenKind.IDENT).text
-        self.expect(TokenKind.COLON)
-        declared_type = self.parse_type()
-
-        frequency = 0
-        style = None
-        display = ""
-        while self.peek().kind is TokenKind.LBRACKET:
-            self.advance()
-            attr_token = self.expect(TokenKind.IDENT)
-            self.expect(TokenKind.EQUALS)
-            value = self.peek()
-            if value.kind not in (TokenKind.NUMBER, TokenKind.IDENT,
-                                  TokenKind.STRING):
-                raise TypeSyntaxError(
-                    f"bad attribute value {value.text!r}",
-                    value.line, value.column)
-            self.advance()
-            self.expect(TokenKind.RBRACKET)
-            if attr_token.text == "freq":
-                if value.kind is not TokenKind.NUMBER:
-                    raise TypeSyntaxError("freq expects an integer",
-                                          value.line, value.column)
-                frequency = int(value.text)
-            elif attr_token.text == "style":
-                style = STYLE_NAMES.get(value.text)
-                if style is None:
-                    raise TypeSyntaxError(
-                        f"unknown render style {value.text!r}",
-                        value.line, value.column)
-            elif attr_token.text == "display":
-                display = value.text
+def _type(tokens: list[str], index: int,
+          bases: dict[str, BaseType]) -> tuple[Type, int]:
+    """Parse ``atom { "->" atom }`` from *index*; returns the type and the
+    index after it.  *bases* shares one :class:`BaseType` per name."""
+    atoms: list[Type] = []
+    while True:
+        raw = tokens[index]
+        atom = bases.get(raw)
+        if atom is None:
+            if raw == "(":
+                atom, index = _type(tokens, index + 1, bases)
+                if tokens[index] != ")":
+                    raise _Rejected(index, _expected(TokenKind.RPAREN))
+            elif _is_ident(raw):
+                atom = bases[raw] = BaseType(raw)
             else:
-                raise TypeSyntaxError(
-                    f"unknown attribute {attr_token.text!r}",
-                    attr_token.line, attr_token.column)
+                raise _Rejected(index, lambda token:
+                                f"expected a type, found {token.text!r}")
+        atoms.append(atom)
+        index += 1
+        raw = tokens[index]
+        if raw != "->" and raw != "=>":
+            break
+        index += 1
+    result = atoms.pop()
+    while atoms:
+        result = Arrow(atoms.pop(), result)
+    return result, index
 
-        return DeclarationSpec(name=name, type=declared_type, kind=kind,
-                               frequency=frequency, style=style,
-                               display=display, line=keyword_token.line)
+
+def _declaration(tokens: list[str], index: int, kind, line: int,
+                 bases: dict[str, BaseType]) -> tuple[DeclarationSpec, int]:
+    raw = tokens[index]
+    if _is_ident(raw):
+        name = raw
+    elif raw[:1] == '"' and len(raw) > 1:
+        name = f'"{unquote(raw)}"'
+    elif raw[:1] == "`" and len(raw) > 1:
+        name = unquote(raw)
+    else:
+        raise _Rejected(index, _expected(TokenKind.IDENT))
+    if tokens[index + 1] != ":":
+        raise _Rejected(index + 1, _expected(TokenKind.COLON))
+    declared_type, index = _type(tokens, index + 2, bases)
+
+    frequency = 0
+    style = None
+    display = ""
+    while tokens[index] == "[":
+        attribute = tokens[index + 1]
+        if not _is_ident(attribute):
+            raise _Rejected(index + 1, _expected(TokenKind.IDENT))
+        if tokens[index + 2] != "=":
+            raise _Rejected(index + 2, _expected(TokenKind.EQUALS))
+        raw = tokens[index + 3]
+        value = _value_text(raw)
+        if value is None:
+            raise _Rejected(index + 3, lambda token:
+                            f"bad attribute value {token.text!r}")
+        if tokens[index + 4] != "]":
+            raise _Rejected(index + 4, _expected(TokenKind.RBRACKET))
+        if attribute == "freq":
+            if raw[0] not in _DIGITS:
+                raise _Rejected(index + 3,
+                                lambda token: "freq expects an integer")
+            try:
+                frequency = int(raw)
+            except ValueError:              # beyond int()'s digit limit
+                raise _Rejected(index + 3, lambda token:
+                                f"freq value too long ({len(raw)} digits)")
+        elif attribute == "style":
+            style = STYLE_NAMES.get(value)
+            if style is None:
+                raise _Rejected(index + 3, lambda token:
+                                f"unknown render style {token.text!r}")
+        elif attribute == "display":
+            display = value
+        else:
+            raise _Rejected(index + 1, lambda token:
+                            f"unknown attribute {token.text!r}")
+        index += 5
+
+    return DeclarationSpec(name=name, type=declared_type, kind=kind,
+                           frequency=frequency, style=style,
+                           display=display, line=line), index
+
+
+def _file(tokens: list[str], breaks: list[int]) -> EnvironmentSpec:
+    spec = EnvironmentSpec()
+    bases: dict[str, BaseType] = {}
+    index = 0
+    newlines = 0
+    while True:
+        raw = tokens[index]
+        if raw == "\n":
+            newlines += 1
+            index += 1
+            continue
+        if raw == "":
+            return spec
+        line = 1 + newlines + (bisect_right(breaks, index) if breaks else 0)
+        kind = KIND_KEYWORDS.get(raw)
+        if kind is not None:
+            declaration, index = _declaration(tokens, index + 1, kind, line,
+                                              bases)
+            spec.declarations.append(declaration)
+        elif raw == "subtype":
+            subtype = tokens[index + 1]
+            if not _is_ident(subtype):
+                raise _Rejected(index + 1, _expected(TokenKind.IDENT))
+            if tokens[index + 2] != "<:":
+                raise _Rejected(index + 2, _expected(TokenKind.SUBTYPE))
+            supertype = tokens[index + 3]
+            if not _is_ident(supertype):
+                raise _Rejected(index + 3, _expected(TokenKind.IDENT))
+            spec.subtypes.append(SubtypeSpec(subtype, supertype, line))
+            index += 4
+        elif raw == "type":
+            keyword = index
+            index += 1
+            while _is_ident(tokens[index]):
+                index += 1
+            if index == keyword + 1:
+                raise _Rejected(keyword, lambda token:
+                                "'type' requires at least one name")
+            spec.base_types.extend(tokens[keyword + 1:index])
+        elif raw == "goal":
+            keyword = index
+            goal_type, index = _type(tokens, index + 1, bases)
+            if spec.goal is not None:
+                raise _Rejected(keyword,
+                                lambda token: "duplicate 'goal' statement")
+            spec.goal = GoalSpec(goal_type, line)
+        elif _is_ident(raw):
+            raise _Rejected(index, lambda token:
+                            f"unknown statement keyword {token.text!r}")
+        else:
+            raise _Rejected(index, lambda token:
+                            f"expected a statement keyword, found {token.text!r}")
+        raw = tokens[index]
+        if raw != "\n" and raw != "":
+            raise _Rejected(index, lambda token:
+                            f"unexpected {token.text!r} at end of statement")
 
 
 def parse_type(text: str) -> Type:
     """Parse a single type expression such as ``"(A -> B) -> C"``."""
-    parser = _Parser(tokenize(text))
-    parser.skip_newlines()
-    result = parser.parse_type()
-    parser.skip_newlines()
-    token = parser.peek()
-    if token.kind is not TokenKind.EOF:
-        raise TypeSyntaxError(f"trailing input {token.text!r}",
-                              token.line, token.column)
+    tokens, _ = scan(text)
+    try:
+        index = 0
+        while tokens[index] == "\n":
+            index += 1
+        result, index = _type(tokens, index, {})
+        while tokens[index] == "\n":
+            index += 1
+        if tokens[index] != "":
+            raise _Rejected(index, lambda token:
+                            f"trailing input {token.text!r}")
+    except _Rejected as rejected:
+        raise _syntax_error(text, rejected) from None
     return result
 
 
 def parse_environment(text: str) -> EnvironmentSpec:
     """Parse a whole environment file."""
-    return _Parser(tokenize(text)).parse_file()
+    tokens, breaks = scan(text)
+    try:
+        return _file(tokens, breaks)
+    except _Rejected as rejected:
+        raise _syntax_error(text, rejected) from None

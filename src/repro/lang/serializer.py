@@ -10,12 +10,14 @@ through the CLI.
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
-from repro.core.environment import (Declaration, DeclKind, Environment,
-                                    RenderStyle)
+from repro.core.environment import Declaration, DeclKind, Environment
 from repro.core.subtyping import SubtypeGraph, is_coercion_name
 from repro.core.types import Type, format_type
+from repro.lang.lexer import IDENT
+from repro.lang.loader import default_display, default_style
 
 _KIND_KEYWORD = {
     DeclKind.LAMBDA: "lambda",
@@ -27,21 +29,37 @@ _KIND_KEYWORD = {
     DeclKind.IMPORTED: "imported",
 }
 
+_IDENT = re.compile(IDENT)
+
+#: Names that read back as written: identifiers, and string literals
+#: without escapes (the parser keeps a string name's quotes).
+_PLAIN_NAME = re.compile(rf'{IDENT}|"[^"\\\n]*"')
+
+_NEEDS_ESCAPE = re.compile(r'([\\"`\n])')
+
+
+def _quoted(text: str, quote: str) -> str:
+    """*text* between *quote* characters, escaped for the lexer."""
+    return quote + _NEEDS_ESCAPE.sub(r"\\\1", text) + quote
+
 
 def _declaration_line(declaration: Declaration) -> str:
     keyword = _KIND_KEYWORD[declaration.kind]
     name = declaration.name
-    if declaration.kind is DeclKind.LITERAL and name.startswith('"'):
-        pass  # string-literal names keep their quotes; the lexer re-reads them
+    if not _PLAIN_NAME.fullmatch(name):
+        name = _quoted(name, "`")
     parts = [f"{keyword} {name} : {format_type(declaration.type)}"]
     if declaration.frequency:
         parts.append(f"[freq={declaration.frequency}]")
     render = declaration.render
-    if render is not None and render.style is not RenderStyle.VALUE:
-        parts.append(f"[style={render.style.value}]")
-    if render is not None and render.display and \
-            render.display != declaration.name:
-        parts.append(f"[display={render.display}]")
+    if render is not None:
+        if render.style is not default_style(declaration.kind):
+            parts.append(f"[style={render.style.value}]")
+        display = render.display
+        if display != default_display(declaration.name, render.style):
+            if not _IDENT.fullmatch(display):
+                display = _quoted(display, '"')
+            parts.append(f"[display={display}]")
     return " ".join(parts)
 
 

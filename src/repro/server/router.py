@@ -1502,21 +1502,32 @@ class CompletionRouter:
         self.journal.record(digest=digest, scene_id=scene_id,
                             name=name or response.get("name"), text=text)
         try:
-            return await self._register_on_owners(scene_id, text, name)
+            return await self._register_on_owners(
+                scene_id, text, name, placed=(probe.backend_id, response))
         except ProtocolError:
             # Every owner is down right now: the registration is still
             # durable (journal) and valid (the probe prepared it) — the
             # replay/re-teach paths finish placement when owners return.
             return response
 
-    async def _register_on_owners(self, scene_id: str, text: str,
-                                  name: Optional[str]) -> dict:
+    async def _register_on_owners(
+            self, scene_id: str, text: str, name: Optional[str],
+            placed: Optional[tuple[str, dict]] = None) -> dict:
         """Register *text* on each replica-set backend; first response
         wins, later copies are best-effort (a dead sibling is re-taught
-        by journal replay when it respawns)."""
+        by journal replay when it respawns).
+
+        *placed* is ``(backend id, response)`` of a backend that has just
+        registered the text: when it is an owner, its response fills its
+        slot and it is not sent the text again — a second copy would
+        only answer a digest hit (``cached: true``) for a fresh scene.
+        """
         response: Optional[dict] = None
         last_error: Optional[ProtocolError] = None
         for backend in self._candidates(scene_id):
+            if placed is not None and backend.backend_id == placed[0]:
+                response = response or placed[1]
+                continue
             try:
                 if response is None:
                     response = await self._call(

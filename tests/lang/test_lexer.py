@@ -50,6 +50,16 @@ class TestBasicTokens:
         token = tokenize(r'"a\"b"')[0]
         assert token.text == 'a"b'
 
+    def test_quoted_name(self):
+        token = tokenize(r"`java.lang.Object.equals(Object)`")[0]
+        assert token.kind is TokenKind.QUOTED
+        assert token.text == "java.lang.Object.equals(Object)"
+        assert tokenize(r"`a\`b`")[0].text == "a`b"
+
+    def test_number_is_ascii_only(self):
+        with pytest.raises(TypeSyntaxError, match="unexpected character"):
+            tokenize("12²")
+
 
 class TestStructure:
     def test_newlines_tokenised(self):
@@ -84,6 +94,18 @@ class TestErrors:
     def test_unexpected_character(self):
         with pytest.raises(TypeSyntaxError):
             tokenize("a ~ b")
+
+    def test_unterminated_quoted_name(self):
+        with pytest.raises(TypeSyntaxError, match="quoted name") as excinfo:
+            tokenize("local `never closed\nx")
+        assert (excinfo.value.line, excinfo.value.column) == (1, 20)
+
+    def test_lexical_error_wins_over_earlier_parse_error(self):
+        from repro.lang.parser import parse_environment
+        with pytest.raises(TypeSyntaxError) as excinfo:
+            parse_environment("local : A\nlocal b : B ~")
+        assert "unexpected character '~'" in str(excinfo.value)
+        assert (excinfo.value.line, excinfo.value.column) == (2, 13)
 
     def test_trailing_dot_identifier(self):
         with pytest.raises(TypeSyntaxError):

@@ -1,5 +1,7 @@
 """Unit tests for the declaration-language parser."""
 
+import sys
+
 import pytest
 
 from repro.core.environment import DeclKind, RenderStyle
@@ -116,6 +118,30 @@ class TestParseEnvironment:
     def test_bad_frequency_rejected(self):
         with pytest.raises(TypeSyntaxError):
             parse_environment("imported a : A [freq=lots]")
+
+    @pytest.mark.parametrize("digits", ["²", "٣", "9" * 4301], ids=[
+        "superscript-two", "arabic-indic-three", "4301-digits"])
+    def test_malformed_frequency_is_a_syntax_error(self, digits):
+        if len(digits) > 1 and \
+                not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+            pytest.skip("int() has no digit limit")
+        with pytest.raises(TypeSyntaxError) as excinfo:
+            parse_environment(f"imported a : A [freq={digits}]")
+        assert (excinfo.value.line, excinfo.value.column) == (1, 22)
+
+    def test_quoted_names(self):
+        spec = parse_environment(
+            "imported `java.lang.Object.equals(Object)` : A -> B\n"
+            "literal `0` : int\n"
+            "local `odd \\` name` : A")
+        assert spec.declaration_names() == [
+            "java.lang.Object.equals(Object)", "0", "odd ` name"]
+
+    def test_quoted_name_is_not_a_keyword_or_type(self):
+        with pytest.raises(TypeSyntaxError, match="statement keyword"):
+            parse_environment("`local` a : A")
+        with pytest.raises(TypeSyntaxError, match="expected a type"):
+            parse_environment("local a : `A`")
 
     def test_unknown_style_rejected(self):
         with pytest.raises(TypeSyntaxError):

@@ -458,6 +458,26 @@ class TestRoutedServing:
 
         asyncio.run(main())
 
+    def test_fresh_scene_text_reaches_each_owner_once(self):
+        async def main():
+            # Two backends, R=2: the probe backend is always an owner; it
+            # must not be sent the text a second time, which would answer
+            # a digest hit (cached: true) for a scene nobody had.
+            async with attached_router(2) as (router, backends, client):
+                def registrations():
+                    return sum(server.metrics.requests[
+                        "POST /v1/register-scene"] for server in backends)
+
+                for text in (SCENE, OTHER_SCENE, THIRD_SCENE):
+                    before = registrations()
+                    fresh = await client.register_scene(text)
+                    assert fresh["cached"] is False
+                    assert registrations() - before == 2
+                    again = await client.register_scene(text)
+                    assert again["cached"] is True
+
+        asyncio.run(main())
+
     def test_backend_errors_pass_through_with_their_codes(self):
         async def main():
             async with attached_router() as (router, backends, client):

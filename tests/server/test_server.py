@@ -791,6 +791,18 @@ class TestClientErrorPaths:
 
         asyncio.run(main())
 
+    def test_malformed_freq_is_scene_error_not_internal(self):
+        async def main():
+            async with running_server() as (server, client):
+                with pytest.raises(ServerError) as excinfo:
+                    await client.register_scene(
+                        "local a : A [freq=\u00b2]\ngoal A\n")
+                assert excinfo.value.code == "scene_error"
+                assert excinfo.value.status == 422
+                assert server.metrics.errors["internal"] == 0
+
+        asyncio.run(main())
+
     def test_bad_goal_type_is_bad_request(self):
         async def main():
             async with running_server() as (server, client):
