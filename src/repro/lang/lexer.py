@@ -59,6 +59,7 @@ class Token:
         return f"{self.kind.name}({self.text!r})@{self.line}:{self.column}"
 
 
+#: The characters an IDENT token can start with.
 IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyz"
                         "ABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
 
@@ -67,7 +68,7 @@ IDENT = r"[A-Za-z_$](?:[A-Za-z0-9_$.]*[A-Za-z0-9_$])?"
 
 #: The line continuation, scanned as a token of its own so line numbers
 #: can count it; the parser never sees it (see :func:`scan`).
-CONTINUATION = "\\\n"
+_CONTINUATION = "\\\n"
 
 SCANNER = re.compile(rf"""
     [ \t\r]* (?: \#[^\n]* )?                    # blanks, a comment
@@ -116,12 +117,12 @@ def scan(text: str) -> tuple[list[str], list[int]]:
     one-character text no grammar rule accepts; :func:`tokenize` names it.
     """
     texts = SCANNER.findall(text)
-    if CONTINUATION not in text:
+    if _CONTINUATION not in text:
         return texts, []
     kept: list[str] = []
     breaks: list[int] = []
     for raw in texts:
-        if raw == CONTINUATION:
+        if raw == _CONTINUATION:
             breaks.append(len(kept))
         else:
             kept.append(raw)
@@ -149,7 +150,7 @@ def tokenize(text: str) -> list[Token]:
                 break
             if kind is TokenKind.NEWLINE:
                 line, line_start = line + 1, match.end()
-        elif raw == CONTINUATION:
+        elif raw == _CONTINUATION:
             line, line_start = line + 1, match.end()
         elif raw[0] in IDENT_START:
             tokens.append(Token(TokenKind.IDENT, raw, line, column))

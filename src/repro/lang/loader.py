@@ -34,7 +34,9 @@ class LoadedEnvironment:
 def default_style(kind: DeclKind) -> RenderStyle:
     """The render style of a declaration written without ``[style=...]``:
     literals render verbatim, everything else as a value."""
-    return RenderStyle.LITERAL if kind is DeclKind.LITERAL else RenderStyle.VALUE
+    if kind is DeclKind.LITERAL:
+        return RenderStyle.LITERAL
+    return RenderStyle.VALUE
 
 
 def default_display(name: str, style: RenderStyle) -> str:

@@ -22,9 +22,9 @@ before a newline continues a statement)::
     STRING    := '"' { char | "\\" char } '"'           # no raw newline
     QUOTED    := "`" { char | "\\" char } "`"           # no raw newline
 
-A ``QUOTED`` name reads back as the bare name between the backquotes
-(```java.lang.Object.equals(Object)``` names
-``java.lang.Object.equals(Object)``, ```0``` the literal ``0``); inside
+A ``QUOTED`` name reads back as the bare text between the backquotes:
+`` `java.lang.Object.equals(Object)` `` names the declaration
+``java.lang.Object.equals(Object)``, `` `0` `` the literal ``0``.  Inside
 strings and quoted names a backslash keeps the character after it.
 
 Recognised attributes: ``freq`` (corpus frequency, integer), ``style``
@@ -44,11 +44,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable
 
+from repro.core.environment import DeclKind
 from repro.core.errors import TypeSyntaxError
 from repro.core.types import Arrow, BaseType, Type
 from repro.lang.ast import (DeclarationSpec, EnvironmentSpec, GoalSpec,
                             KIND_KEYWORDS, STYLE_NAMES, SubtypeSpec)
-from repro.lang.lexer import IDENT_START, Token, TokenKind, scan, tokenize, unquote
+from repro.lang.lexer import (IDENT_START, Token, TokenKind, scan, tokenize,
+                              unquote)
 
 _DIGITS = frozenset("0123456789")
 
@@ -120,8 +122,9 @@ def _type(tokens: list[str], index: int,
     return result, index
 
 
-def _declaration(tokens: list[str], index: int, kind, line: int,
-                 bases: dict[str, BaseType]) -> tuple[DeclarationSpec, int]:
+def _declaration(tokens: list[str], index: int, kind: DeclKind,
+                 line: int, bases: dict[str, BaseType]
+                 ) -> tuple[DeclarationSpec, int]:
     raw = tokens[index]
     if _is_ident(raw):
         name = raw
@@ -227,8 +230,8 @@ def _file(tokens: list[str], breaks: list[int]) -> EnvironmentSpec:
             raise _Rejected(index, lambda token:
                             f"unknown statement keyword {token.text!r}")
         else:
-            raise _Rejected(index, lambda token:
-                            f"expected a statement keyword, found {token.text!r}")
+            raise _Rejected(index, lambda token: (
+                f"expected a statement keyword, found {token.text!r}"))
         raw = tokens[index]
         if raw != "\n" and raw != "":
             raise _Rejected(index, lambda token:
