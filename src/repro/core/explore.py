@@ -21,22 +21,17 @@ weighted discipline is what makes the search goal-directed in practice.
 Termination: every type ever added to an environment is a succinct subterm
 of the initial environment or the goal, so the request space is finite.
 
-Two implementations live here:
-
-* :func:`explore` — the production path.  It runs entirely over integer
-  ids: environments are interned in an :class:`~repro.core.space.EnvArena`
-  (STRIP is a transition-memo hit, MATCH an incremental per-env index
-  lookup) and requests are dense ``(target, env_id)`` node ids, so the
-  inner loop hashes small ints instead of multi-thousand-member
-  frozensets.  The resulting :class:`SearchSpace` carries the raw
-  :class:`IndexedSpace` and materialises the classic
-  :class:`Request`/:class:`ReachabilityEdge` views lazily, on first
-  access — consumers that only need counts or the indexed form never pay
-  for view construction.
-* :func:`explore_reference` — the direct structural transcription of
-  Fig. 7 (the pre-arena implementation), kept as the executable
-  specification.  The property suite checks that both produce identical
-  spaces, truncated runs included.
+:func:`explore` runs entirely over integer ids: environments are interned
+in an :class:`~repro.core.space.EnvArena` (STRIP is a transition-memo
+hit, MATCH an incremental per-env index lookup) and requests are dense
+``(target, env_id)`` node ids, so the inner loop hashes small ints instead
+of multi-thousand-member frozensets.  The resulting :class:`SearchSpace`
+carries the raw :class:`IndexedSpace` and materialises the classic
+:class:`Request`/:class:`ReachabilityEdge` views lazily, on first access —
+consumers that only need counts or the indexed form never pay for view
+construction.  The direct structural transcription of Fig. 7 lives with
+the tests (``tests/core/oracle.py``); the property suite checks that both
+produce identical spaces, truncated runs included.
 """
 
 from __future__ import annotations
@@ -45,10 +40,11 @@ import heapq
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 from repro.core.space import EnvArena
-from repro.core.succinct import SuccinctType, sort_key
+from repro.core.succinct import SuccinctType
 
 #: An environment in succinct space: just the set of member types.
 EnvKey = frozenset  # frozenset[SuccinctType]
@@ -79,33 +75,6 @@ class ReachabilityEdge:
 
     request: Request
     source: SuccinctType
-
-    def premises(self) -> tuple[SuccinctType, ...]:
-        """The matched argument set ``S'`` in canonical order."""
-        return self.source.sorted_arguments()
-
-    def children(self) -> tuple[Request, ...]:
-        """The requests this edge depends on (PROP then STRIP)."""
-        return tuple(child_request(premise, self.request.env)
-                     for premise in self.premises())
-
-
-def strip(target: SuccinctType, env: EnvKey) -> Request:
-    """The STRIP rule: ``(S -> t) ;Gamma ?``  =>  ``t ;Gamma+S ?``.
-
-    Primitive targets reuse the environment object unchanged: environments
-    hold thousands of types, and copying one per request dominates the
-    exploration cost otherwise.
-    """
-    if not target.arguments:
-        return Request(target.result, env)
-    extended = env if target.arguments <= env else env | target.arguments
-    return Request(target.result, extended)
-
-
-def child_request(premise: SuccinctType, env: EnvKey) -> Request:
-    """PROP followed by STRIP for one premise type."""
-    return strip(premise, env)
 
 
 @dataclass
@@ -167,67 +136,37 @@ class SearchSpace:
     propagate to it.  Pattern generation can then resolve its "compatible"
     set by lookup instead of scanning the space.
 
-    Arena-backed spaces (``indexed`` is set) materialise ``edges`` /
-    ``predecessors`` / ``order`` lazily from the integer arrays on first
-    access; the reference explorer fills them eagerly.
+    ``order``, ``edges`` and ``predecessors`` are classic views,
+    materialised from the integer arrays of ``indexed`` on first access.
     """
 
-    def __init__(self, root: Request,
-                 indexed: Optional[IndexedSpace] = None):
+    def __init__(self, root: Request, indexed: IndexedSpace):
         self.root = root
+        self.indexed = indexed
         self.iterations = 0
         self.truncated = False
         self.elapsed_seconds = 0.0
-        self.indexed = indexed
-        self._edges: Optional[dict] = None if indexed else {}
-        self._predecessors: Optional[dict] = None if indexed else {}
-        self._order: Optional[tuple] = None if indexed else ()
 
     # -- lazily materialised views ------------------------------------------
 
-    def _materialize(self) -> None:
-        isp = self.indexed
-        request = isp.request_view
-        edge = isp.edge_view
-        self._order = tuple(request(node) for node in isp.order)
-        self._edges = {
-            request(node): tuple(edge(j) for j in range(*isp.node_edges[node]))
-            for node in isp.order
-        }
-        self._predecessors = {
-            request(node): tuple(edge(j) for j in edges)
-            for node, edges in isp.predecessors.items()
-        }
+    @cached_property
+    def order(self) -> tuple[Request, ...]:
+        return tuple(map(self.indexed.request_view, self.indexed.order))
 
-    @property
+    @cached_property
     def edges(self) -> dict:
-        if self._edges is None:
-            self._materialize()
-        return self._edges
+        isp = self.indexed
+        edge = isp.edge_view
+        return {isp.request_view(node):
+                tuple(edge(j) for j in range(*isp.node_edges[node]))
+                for node in isp.order}
 
-    @edges.setter
-    def edges(self, value: dict) -> None:
-        self._edges = value
-
-    @property
+    @cached_property
     def predecessors(self) -> dict:
-        if self._predecessors is None:
-            self._materialize()
-        return self._predecessors
-
-    @predecessors.setter
-    def predecessors(self, value: dict) -> None:
-        self._predecessors = value
-
-    @property
-    def order(self) -> tuple:
-        if self._order is None:
-            self._materialize()
-        return self._order
-
-    @order.setter
-    def order(self, value: tuple) -> None:
-        self._order = value
+        isp = self.indexed
+        edge = isp.edge_view
+        return {isp.request_view(node): tuple(edge(j) for j in edges)
+                for node, edges in isp.predecessors.items()}
 
     # -- queries -------------------------------------------------------------
 
@@ -239,41 +178,14 @@ class SearchSpace:
 
     def node_count(self) -> int:
         """Visited requests, without materialising the views."""
-        return (len(self.indexed.order) if self._order is None
-                else len(self._order))
+        return len(self.indexed.order)
 
     def edge_count(self) -> int:
-        if self.indexed is not None:
-            return self.indexed.edge_count()
-        return sum(len(edges) for edges in self.edges.values())
+        return self.indexed.edge_count()
 
     def __repr__(self) -> str:
         return (f"SearchSpace({self.node_count()} nodes, "
                 f"{self.edge_count()} edges, truncated={self.truncated})")
-
-
-class _EnvIndex:
-    """Per-environment index: result type name -> members with that result.
-
-    Environments encountered during a search share almost all content, but
-    they are distinct frozensets; we memoise one index per distinct key.
-    (Reference path only — the production explorer uses the arena's
-    incrementally built per-env indexes.)
-    """
-
-    def __init__(self) -> None:
-        self._cache: dict[EnvKey, dict[str, tuple[SuccinctType, ...]]] = {}
-
-    def members_returning(self, env: EnvKey, target: str) -> tuple[SuccinctType, ...]:
-        index = self._cache.get(env)
-        if index is None:
-            grouped: dict[str, list[SuccinctType]] = {}
-            for member in sorted(env, key=sort_key):
-                grouped.setdefault(member.result, []).append(member)
-            index = {result: tuple(members)
-                     for result, members in grouped.items()}
-            self._cache[env] = index
-        return index.get(target, ())
 
 
 #: Priority function for requests: lower = explored earlier.
@@ -309,7 +221,6 @@ def explore(env: EnvKey, goal: SuccinctType,
             priority: Optional[RequestPriority] = None,
             max_nodes: Optional[int] = None,
             time_limit: Optional[float] = None,
-            on_edges: Optional[Callable[[Iterable[ReachabilityEdge]], None]] = None,
             arena: Optional[EnvArena] = None,
             on_edges_indexed: Optional[Callable[[IndexedSpace, int, int], None]] = None,
             ) -> SearchSpace:
@@ -328,22 +239,17 @@ def explore(env: EnvKey, goal: SuccinctType,
         initial environment.  ``None`` selects the plain FIFO queue.
     max_nodes / time_limit:
         Resource budgets; exceeding either marks the space ``truncated``.
-    on_edges:
-        Optional callback invoked with each batch of new edges — the hook
-        the interleaved prover (§5.6) uses to trigger incremental pattern
-        generation as soon as new reachability terms appear.  Receives
-        classic :class:`ReachabilityEdge` views (materialised per batch).
     arena:
         Optional long-lived :class:`~repro.core.space.EnvArena` to run in.
         A scene-scoped arena (see ``Environment.succinct_arena``) carries
         its STRIP transition memo and MATCH indexes from query to query;
         omitted, a private arena lives for just this call.
     on_edges_indexed:
-        Like ``on_edges`` but in integer form: called as ``(space, start,
-        end)`` with the half-open edge-id range just produced.  The
-        engine's interleaved pattern generator consumes this hook — no
-        view objects are built.  Both hooks may be passed; the indexed one
-        fires first.
+        Optional callback invoked as ``(space, start, end)`` with each
+        visited request's half-open range of new edge ids — the hook the
+        interleaved prover (§5.6) uses to trigger incremental pattern
+        generation as soon as new reachability terms appear.  No view
+        objects are built.
 
     Returns the explored :class:`SearchSpace`.
     """
@@ -421,12 +327,8 @@ def explore(env: EnvKey, goal: SuccinctType,
             edge_children.append(tuple(children))
         span_end = len(edge_node)
         node_edges[current] = (span_start, span_end)
-        if span_end > span_start:
-            if on_edges_indexed is not None:
-                on_edges_indexed(isp, span_start, span_end)
-            if on_edges is not None:
-                on_edges([isp.edge_view(j)
-                          for j in range(span_start, span_end)])
+        if span_end > span_start and on_edges_indexed is not None:
+            on_edges_indexed(isp, span_start, span_end)
 
     # Deduplicate watchers at the source: two premises of one edge can
     # strip to the same child request (a higher-order premise next to a
@@ -441,63 +343,3 @@ def explore(env: EnvKey, goal: SuccinctType,
     space.elapsed_seconds = time.perf_counter() - start
     return space
 
-
-def explore_reference(env: EnvKey, goal: SuccinctType,
-                      priority: Optional[RequestPriority] = None,
-                      max_nodes: Optional[int] = None,
-                      time_limit: Optional[float] = None,
-                      on_edges: Optional[Callable[[Iterable[ReachabilityEdge]], None]] = None,
-                      ) -> SearchSpace:
-    """Fig. 7 in direct structural form — the retained reference path.
-
-    Semantically identical to :func:`explore` (the property suite asserts
-    node/edge/pattern equality, truncated runs included); kept as the
-    executable specification the arena implementation is checked against.
-    """
-    start = time.perf_counter()
-    env = frozenset(env)
-    root = strip(goal, env)
-
-    index = _EnvIndex()
-    worklist = _Worklist(prioritised=priority is not None)
-    worklist.push(priority(goal) if priority else 0.0, root)
-
-    space = SearchSpace(root=root)
-    visited: set[Request] = set()
-    order: list[Request] = []
-    predecessors: dict[Request, list[ReachabilityEdge]] = {}
-    iterations = 0
-
-    while worklist:
-        if max_nodes is not None and len(visited) >= max_nodes:
-            space.truncated = True
-            break
-        if time_limit is not None and time.perf_counter() - start > time_limit:
-            space.truncated = True
-            break
-        current = worklist.pop()
-        if current in visited:
-            continue
-        visited.add(current)
-        order.append(current)
-        iterations += 1
-
-        found = [ReachabilityEdge(current, member)
-                 for member in index.members_returning(current.env, current.target)]
-        space.edges[current] = tuple(found)
-        if on_edges is not None and found:
-            on_edges(found)
-
-        for edge in found:
-            for premise in edge.premises():
-                child = child_request(premise, current.env)
-                predecessors.setdefault(child, []).append(edge)
-                if child not in visited:
-                    worklist.push(priority(premise) if priority else 0.0, child)
-
-    space.predecessors = {request: tuple(dict.fromkeys(edges))
-                          for request, edges in predecessors.items()}
-    space.order = tuple(order)
-    space.iterations = iterations
-    space.elapsed_seconds = time.perf_counter() - start
-    return space

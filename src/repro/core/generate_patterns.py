@@ -10,24 +10,15 @@ became inhabited from the pending set ``S`` to the witnessed set ``Pi``;
 our counter-based fixpoint is the standard implementation of exactly that
 bookkeeping.
 
-The fixpoints run in two gears:
-
-* **Indexed** — when the space carries an
-  :class:`~repro.core.explore.IndexedSpace` (the production explorer),
-  the counters, watch-lists and inhabited set are arrays and dicts over
-  dense integer node/edge ids; no `Request`/`ReachabilityEdge` view is
-  hashed anywhere in the fixpoint.  :class:`IndexedPatternGenerator` is
-  the online (§5.6 interleaved) form, fed edge-id spans straight from the
-  explorer.
-* **Reference** — the original structural implementations, used for
-  hand-built or reference-explored spaces and kept as the executable
-  specification (``*_reference``); the property suite asserts both gears
-  produce identical pattern sets, truncated runs included.
-
-Public entry points (`generate_patterns`,
-`generate_patterns_incremental`, `generate_patterns_with_predecessor_map`)
-pick the gear automatically, so every existing caller sees identical
-results either way.
+The fixpoints run over the explored space's
+:class:`~repro.core.explore.IndexedSpace`: the counters, watch-lists and
+inhabited set are arrays and dicts over dense integer node/edge ids, and
+no `Request`/`ReachabilityEdge` view is hashed anywhere in the fixpoint.
+:class:`IndexedPatternGenerator` is the online (§5.6 interleaved) form,
+fed edge-id spans straight from the explorer.  The original structural
+implementations live with the tests (``tests/core/oracle.py``); the
+property suite asserts both produce identical pattern sets, truncated runs
+included.
 """
 
 from __future__ import annotations
@@ -36,8 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.core.explore import (EnvKey, IndexedSpace, ReachabilityEdge,
-                                Request, SearchSpace)
+from repro.core.explore import EnvKey, IndexedSpace, Request, SearchSpace
 from repro.core.succinct import SuccinctType, sort_key
 
 
@@ -120,11 +110,6 @@ class PatternSet:
                 f"{len(self.inhabited)} inhabited requests)")
 
 
-# ---------------------------------------------------------------------------
-# Indexed gear: fixpoints over dense integer ids
-# ---------------------------------------------------------------------------
-
-
 def _indexed_pattern_set(isp: IndexedSpace, pattern_edges: Iterable[int],
                          inhabited_nodes: Iterable[int]) -> PatternSet:
     """Materialise the classic :class:`PatternSet` from integer results."""
@@ -160,8 +145,9 @@ def _firing_edges(isp: IndexedSpace, inhabited: set) -> list[int]:
             if all(child in inhabited for child in children[edge])]
 
 
-def _generate_patterns_indexed(isp: IndexedSpace) -> PatternSet:
+def generate_patterns(space: SearchSpace) -> PatternSet:
     """Counter-based least fixpoint over integer edge/node ids."""
+    isp = space.indexed
     edge_count = len(isp.edge_node)
     waiting = [0] * edge_count
     watchers: dict[int, list[int]] = {}
@@ -191,8 +177,17 @@ def _generate_patterns_indexed(isp: IndexedSpace) -> PatternSet:
     return _indexed_pattern_set(isp, _firing_edges(isp, inhabited), inhabited)
 
 
-def _generate_patterns_predecessors_indexed(isp: IndexedSpace) -> PatternSet:
-    """The §5.7 backward-map fixpoint over integer ids."""
+def generate_patterns_with_predecessor_map(space: SearchSpace) -> PatternSet:
+    """The §5.7 optimisation: resolve watchers through the backward map.
+
+    The paper builds, during exploration, a map from each reachability term
+    to the terms whose propagation created it; the TRANSFER step's
+    "compatible" set then becomes a map lookup instead of an expensive scan
+    of ``others``.  Functionally identical to :func:`generate_patterns`
+    (the tests assert set equality); the difference is purely how the
+    watch-lists are obtained.
+    """
+    isp = space.indexed
     edge_count = len(isp.edge_node)
     waiting = [0] * edge_count
     ready: deque[int] = deque()
@@ -292,190 +287,10 @@ class IndexedPatternGenerator:
                                     self._inhabited)
 
 
-# ---------------------------------------------------------------------------
-# Reference gear: the original structural implementations
-# ---------------------------------------------------------------------------
-
-
-def generate_patterns_reference(space: SearchSpace) -> PatternSet:
-    """Counter-based least fixpoint over the explored AND-OR space."""
-    # An edge waits on its *distinct* child requests.
-    waiting: dict[ReachabilityEdge, int] = {}
-    watchers: dict[Request, list[ReachabilityEdge]] = {}
-    ready: deque[ReachabilityEdge] = deque()
-
-    for edges in space.edges.values():
-        for edge in edges:
-            children = frozenset(edge.children())
-            waiting[edge] = len(children)
-            if not children:
-                ready.append(edge)
-            for child in children:
-                watchers.setdefault(child, []).append(edge)
-
-    inhabited: set[Request] = set()
-    while ready:
-        edge = ready.popleft()
-        request = edge.request
-        if request in inhabited:
-            continue
-        inhabited.add(request)
-        for watcher in watchers.get(request, ()):
-            waiting[watcher] -= 1
-            if waiting[watcher] == 0:
-                ready.append(watcher)
-
-    # Every edge whose premises are all inhabited yields a pattern — not just
-    # the edges that drove the fixpoint (several edges of one request fire).
-    patterns = {
-        Pattern(edge.request.env, edge.source.arguments, edge.request.target)
-        for edges in space.edges.values()
-        for edge in edges
-        if all(child in inhabited for child in edge.children())
-    }
-    return PatternSet.build(patterns, inhabited)
-
-
-def generate_patterns(space: SearchSpace) -> PatternSet:
-    """Counter-based least fixpoint; indexed when the space is arena-backed."""
-    if space.indexed is not None:
-        return _generate_patterns_indexed(space.indexed)
-    return generate_patterns_reference(space)
-
-
-class IncrementalPatternGenerator:
-    """The paper's Fig. 9 algorithm over structural edges (§5.6).
-
-    Mirrors the published pseudo-code: each reachability term carries a
-    pending set ``S`` and a witnessed set ``Pi``; terms with empty ``S`` are
-    *leaves*, processed from a queue; TRANSFER resolves a compatible pending
-    term against a leaf; PROD emits the pattern of each processed leaf.
-
-    ``add_edges`` may be called repeatedly as exploration discovers new
-    reachability terms.  This is the reference form;
-    :class:`IndexedPatternGenerator` is the production (integer-id)
-    equivalent the interleaved prover uses.
-    """
-
-    def __init__(self) -> None:
-        # Edge state: edge -> (pending set of child requests, witnessed set).
-        self._pending: dict[ReachabilityEdge, set[Request]] = {}
-        self._leaves: deque[ReachabilityEdge] = deque()
-        self._visited_leaves: set[ReachabilityEdge] = set()
-        self._inhabited: set[Request] = set()
-        self._watchers: dict[Request, list[ReachabilityEdge]] = {}
-        self._patterns: set[Pattern] = set()
-
-    def add_edges(self, edges: Iterable[ReachabilityEdge]) -> None:
-        for edge in edges:
-            pending = set(edge.children())
-            # Premises already known inhabited transfer immediately.
-            pending -= self._inhabited
-            self._pending[edge] = pending
-            if pending:
-                for child in pending:
-                    self._watchers.setdefault(child, []).append(edge)
-            else:
-                self._leaves.append(edge)
-        self._drain()
-
-    def _drain(self) -> None:
-        while self._leaves:
-            leaf = self._leaves.popleft()
-            if leaf in self._visited_leaves:
-                continue
-            self._visited_leaves.add(leaf)
-            # PROD: emit the pattern of this (now fully witnessed) term.
-            self._patterns.add(Pattern(leaf.request.env,
-                                       leaf.source.arguments,
-                                       leaf.request.target))
-            request = leaf.request
-            if request in self._inhabited:
-                continue
-            self._inhabited.add(request)
-            # TRANSFER: resolve compatible pending terms against this leaf.
-            for watcher in self._watchers.get(request, ()):
-                pending = self._pending.get(watcher)
-                if pending is None or request not in pending:
-                    continue
-                pending.discard(request)
-                if not pending:
-                    self._leaves.append(watcher)
-
-    def goal_reached(self, root: Request) -> bool:
-        """True as soon as the root request is known inhabited."""
-        return root in self._inhabited
-
-    def result(self) -> PatternSet:
-        return PatternSet.build(self._patterns, self._inhabited)
-
-
 def generate_patterns_incremental(space: SearchSpace) -> PatternSet:
     """Run the Fig. 9 worklist over a fully explored space."""
-    if space.indexed is not None:
-        isp = space.indexed
-        generator = IndexedPatternGenerator()
-        if isp.edge_count():
-            generator.add_span(isp, 0, isp.edge_count())
-        generator._space = isp
-        return generator.result()
-    generator = IncrementalPatternGenerator()
-    generator.add_edges(space.all_edges())
+    isp = space.indexed
+    generator = IndexedPatternGenerator()
+    if isp.edge_count():
+        generator.add_span(isp, 0, isp.edge_count())
     return generator.result()
-
-
-def generate_patterns_with_predecessor_map(space: SearchSpace) -> PatternSet:
-    """The §5.7 optimisation: resolve watchers through the backward map.
-
-    The paper builds, during exploration, a map from each reachability term
-    to the terms whose propagation created it; the TRANSFER step's
-    "compatible" set then becomes a map lookup instead of an expensive scan
-    of ``others``.  Functionally identical to :func:`generate_patterns`
-    (the tests assert set equality); the difference is purely how the
-    watch-lists are obtained.
-    """
-    if space.indexed is not None:
-        return _generate_patterns_predecessors_indexed(space.indexed)
-
-    waiting: dict[ReachabilityEdge, int] = {}
-    ready: deque[ReachabilityEdge] = deque()
-    for edges in space.edges.values():
-        for edge in edges:
-            children = frozenset(edge.children())
-            waiting[edge] = len(children)
-            if not children:
-                ready.append(edge)
-
-    inhabited: set[Request] = set()
-    while ready:
-        edge = ready.popleft()
-        request = edge.request
-        if request in inhabited:
-            continue
-        inhabited.add(request)
-        # §5.7: predecessors(request) is exactly the compatible set.  The
-        # backward map is watcher-deduplicated at build time (explore),
-        # matching the distinct-children countdown above — a twice-watched
-        # request must decrement its edge once, not once per occurrence.
-        for watcher in space.predecessors.get(request, ()):
-            if watcher not in waiting:
-                continue  # predecessor edge outside the (truncated) space
-            waiting[watcher] -= 1
-            if waiting[watcher] == 0:
-                ready.append(watcher)
-
-    patterns = {
-        Pattern(edge.request.env, edge.source.arguments, edge.request.target)
-        for edges in space.edges.values()
-        for edge in edges
-        if all(child in inhabited for child in edge.children())
-    }
-    return PatternSet.build(patterns, inhabited)
-
-
-def goal_is_inhabited(space: SearchSpace,
-                      patterns: Optional[PatternSet] = None) -> bool:
-    """Decide the plain type-inhabitation question for the explored goal."""
-    if patterns is None:
-        patterns = generate_patterns(space)
-    return patterns.is_inhabited(space.root)

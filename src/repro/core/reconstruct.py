@@ -21,12 +21,12 @@ Key invariants:
 Packed frontier
 ---------------
 
-Two implementations live here.  :class:`ReferenceReconstructor` is the
-direct transcription of Fig. 10: each frontier entry is a whole partial
-expression tree, and every pop re-walks it (``findFirstHole``, ``sub``,
-size and bound sums) — O(term size) per expansion.
-:class:`Reconstructor`, the production path, runs the *same* search over a
-**packed frontier**: a frontier entry is a persistent spine of immutable
+The direct transcription of Fig. 10 — the reference, kept as a test
+oracle in ``tests/core/oracle.py`` — makes each frontier entry a whole
+partial expression tree and re-walks it on every pop (``findFirstHole``,
+``sub``, size and bound sums): O(term size) per expansion.
+:class:`Reconstructor` runs the *same* search over a **packed
+frontier**: a frontier entry is a persistent spine of immutable
 :class:`_Frame` records — the path from the root to the current hole, each
 frame holding its completed children (already assembled ``LNFTerm``\\ s)
 and the hole types still pending to its right.  The invariants that make
@@ -67,7 +67,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from repro.core.environment import Declaration, DeclKind, Environment
 from repro.core.generate_patterns import PatternSet
@@ -77,77 +77,6 @@ from repro.core.succinct import sigma
 from repro.core.terms import Binder, LNFTerm
 from repro.core.types import Type, uncurry
 from repro.core.weights import WeightPolicy
-
-
-@dataclass(frozen=True)
-class HoleNode:
-    """A typed hole ``[ ]h : type`` in a partial expression."""
-
-    hole_id: int
-    type: Type
-
-
-@dataclass(frozen=True)
-class AppNode:
-    """A partial expression ``\\binders. head arg1 ... argn``.
-
-    Arguments may contain holes; a node with no holes anywhere below it is a
-    complete long-normal-form term.
-    """
-
-    binders: tuple[Binder, ...]
-    head: str
-    arguments: tuple["PartialNode", ...]
-
-
-PartialNode = Union[HoleNode, AppNode]
-
-
-def is_complete(node: PartialNode) -> bool:
-    """True when no hole occurs in *node*."""
-    if isinstance(node, HoleNode):
-        return False
-    return all(is_complete(argument) for argument in node.arguments)
-
-
-def hole_count(node: PartialNode) -> int:
-    if isinstance(node, HoleNode):
-        return 1
-    return sum(hole_count(argument) for argument in node.arguments)
-
-
-def find_first_hole(node: PartialNode,
-                    path_binders: tuple[Binder, ...] = (),
-                    ) -> Optional[tuple[tuple[Binder, ...], HoleNode]]:
-    """The paper's ``findFirstHole``: leftmost-outermost hole plus the
-    binders in scope on the path to it (from which the hole's environment is
-    rebuilt, matching Fig. 10's Gamma_o threading)."""
-    if isinstance(node, HoleNode):
-        return path_binders, node
-    extended = path_binders + node.binders
-    for argument in node.arguments:
-        found = find_first_hole(argument, extended)
-        if found is not None:
-            return found
-    return None
-
-
-def substitute_hole(node: PartialNode, hole_id: int,
-                    replacement: PartialNode) -> PartialNode:
-    """The paper's ``sub``: replace the hole named *hole_id*."""
-    if isinstance(node, HoleNode):
-        return replacement if node.hole_id == hole_id else node
-    return AppNode(node.binders, node.head,
-                   tuple(substitute_hole(argument, hole_id, replacement)
-                         for argument in node.arguments))
-
-
-def to_lnf(node: PartialNode) -> LNFTerm:
-    """Convert a complete partial expression to an :class:`LNFTerm`."""
-    if isinstance(node, HoleNode):
-        raise ValueError("partial expression still contains holes")
-    return LNFTerm(node.binders, node.head,
-                   tuple(to_lnf(argument) for argument in node.arguments))
 
 
 @dataclass(frozen=True)
@@ -180,7 +109,7 @@ class Candidate:
     #: Per-process :func:`~repro.core.space.simple_type_id` of each
     #: parameter type, aligned with ``parameter_types``.  Filled by the
     #: packed reconstructor so its bound tables key on small ints; the
-    #: reference path leaves it empty.
+    #: reference reconstructor in ``tests/core/oracle.py`` leaves it empty.
     parameter_type_ids: tuple[int, ...] = ()
 
 
@@ -258,8 +187,8 @@ class Reconstructor:
     """Best-first enumeration of complete terms from a pattern set.
 
     This is the packed-frontier implementation (see the module docstring);
-    :class:`ReferenceReconstructor` is the retained Fig. 10 transcription
-    it is byte-identical to.
+    it is byte-identical to the whole-tree Fig. 10 transcription in
+    ``tests/core/oracle.py``.
     """
 
     def __init__(self, patterns: PatternSet, environment: Environment,
@@ -673,274 +602,6 @@ class Reconstructor:
         return result_tuple
 
 
-class ReferenceReconstructor:
-    """The Fig. 10 transcription: whole-tree frontier entries.
-
-    Retained as the executable specification the packed
-    :class:`Reconstructor` is verified against (byte-identical terms,
-    weights, emission order, stats and truncation —
-    ``tests/properties/test_reconstruct_parity.py``).  Every pop re-walks
-    the popped partial expression: ``findFirstHole``, ``sub``, the size
-    measure and the open-holes bound are all O(term size).
-    """
-
-    def __init__(self, patterns: PatternSet, environment: Environment,
-                 policy: WeightPolicy,
-                 max_steps: Optional[int] = None,
-                 time_limit: Optional[float] = None,
-                 max_term_size: Optional[int] = None):
-        self._patterns = patterns
-        self._environment = environment
-        self._policy = policy
-        self._max_steps = max_steps
-        self._time_limit = time_limit
-        self._max_term_size = max_term_size
-        self.stats = ReconstructionStats()
-        self._names = NameSupply(prefix="x",
-                                 frozen=environment.reserved_names())
-        self._hole_ids = itertools.count()
-        self._seq = itertools.count()
-        self._base_succinct = environment.succinct_environment()
-        # Pattern-environment cache: binder succinct types in scope -> env key.
-        self._pattern_env_cache: dict[frozenset, frozenset] = {}
-        # Candidate cache: (hole type, binders in scope) -> sorted fillings.
-        self._candidate_cache: dict[tuple, tuple[Candidate, ...]] = {}
-        # Completion-bound caches, one flat dict per lookahead depth.
-        self._bound_levels: list[dict[Type, float]] = [
-            {} for _ in range(self._HEURISTIC_DEPTH + 1)]
-        self._candidate_bounds: dict[int, float] = {}
-        self._decl_weights = environment.declaration_weight_memo(policy)
-        # Candidates re-sorted by completion bound (what enumeration walks).
-        self._ordered_cache: dict[tuple, tuple[Candidate, ...]] = {}
-
-    def enumerate(self, goal: Type) -> Iterator[RawSnippet]:
-        """Yield complete terms of type *goal* in non-decreasing weight.
-
-        Heap entries are ``(f, seq, expression, hole, path, index, g, rest)``
-        where *expression* still contains *hole* (to be filled with
-        candidate *index*), ``g`` is the realized weight so far and
-        ``rest`` is the completion bound of all *other* open holes.
-        """
-        start = time.perf_counter()
-        queue: list = []
-
-        root = HoleNode(next(self._hole_ids), goal)
-        root_candidates = self._ordered_candidates(goal, ())
-        if root_candidates:
-            f0 = self._completion_bound(root_candidates[0], ())
-            heapq.heappush(queue, (f0, next(self._seq), root, root, (), 0,
-                                   0.0, 0.0))
-            self.stats.enqueued += 1
-
-        while queue:
-            if self._max_steps is not None and \
-                    self.stats.expansions >= self._max_steps:
-                self.stats.truncated = True
-                break
-            if self._time_limit is not None and \
-                    time.perf_counter() - start > self._time_limit:
-                self.stats.truncated = True
-                break
-
-            _, _, expression, hole, path_binders, index, g, rest = \
-                heapq.heappop(queue)
-            candidates = self._ordered_candidates(hole.type, path_binders)
-
-            # Lazy sibling: the next candidate for the same hole.
-            if index + 1 < len(candidates):
-                f_sibling = (g + rest
-                             + self._completion_bound(candidates[index + 1],
-                                                      path_binders))
-                if f_sibling != math.inf:
-                    heapq.heappush(queue, (f_sibling, next(self._seq),
-                                           expression, hole, path_binders,
-                                           index + 1, g, rest))
-                    self.stats.enqueued += 1
-
-            # Realize this candidate.
-            self.stats.expansions += 1
-            candidate = candidates[index]
-            binders = tuple(Binder(self._names.fresh(), tpe)
-                            for tpe in candidate.binder_types)
-            holes = tuple(HoleNode(next(self._hole_ids), tpe)
-                          for tpe in candidate.parameter_types)
-            head = (binders[candidate.binder_index].name
-                    if candidate.binder_index is not None
-                    else candidate.declaration.name)
-            replacement = AppNode(binders, head, holes)
-            realized = substitute_hole(expression, hole.hole_id, replacement)
-            realized_weight = g + candidate.added_weight
-            if self._max_term_size is not None and \
-                    _node_size(realized) > self._max_term_size:
-                continue
-
-            found = find_first_hole(realized)
-            if found is None:
-                self.stats.emitted += 1
-                self.stats.elapsed_seconds = time.perf_counter() - start
-                yield RawSnippet(to_lnf(realized), realized_weight,
-                                 self.stats.emitted - 1)
-                continue
-
-            next_path, next_hole = found
-            next_candidates = self._ordered_candidates(next_hole.type, next_path)
-            if not next_candidates:
-                continue  # this hole can never be filled
-            next_rest = self._open_holes_bound(realized, next_hole.hole_id)
-            if next_rest == math.inf:
-                continue  # some other hole can never be filled
-            f_child = (realized_weight + next_rest
-                       + self._completion_bound(next_candidates[0], next_path))
-            if f_child != math.inf:
-                heapq.heappush(queue, (f_child, next(self._seq), realized,
-                                       next_hole, next_path, 0,
-                                       realized_weight, next_rest))
-                self.stats.enqueued += 1
-
-        self.stats.elapsed_seconds = time.perf_counter() - start
-
-    # -- admissible completion bounds ---------------------------------------
-
-    _HEURISTIC_DEPTH = 4
-
-    def _ordered_candidates(self, hole_type: Type,
-                            path_binders: tuple[Binder, ...],
-                            ) -> tuple[Candidate, ...]:
-        """Candidates sorted by completion bound."""
-        key = (hole_type, path_binders)
-        cached = self._ordered_cache.get(key)
-        if cached is not None:
-            return cached
-        ordered = sorted(
-            self._candidates(hole_type, path_binders),
-            key=lambda c: self._completion_bound(c, path_binders))
-        result = tuple(ordered)
-        self._ordered_cache[key] = result
-        return result
-
-    def _completion_bound(self, candidate: Candidate,
-                          path_binders: tuple[Binder, ...]) -> float:
-        """Lower bound on the weight this candidate adds, completions
-        of its fresh parameter holes included."""
-        if path_binders or candidate.binder_types:
-            return candidate.added_weight
-        key = id(candidate)
-        bound = self._candidate_bounds.get(key)
-        if bound is None:
-            bound = candidate.added_weight + sum(
-                self._hole_bound(parameter)
-                for parameter in candidate.parameter_types)
-            self._candidate_bounds[key] = bound
-        return bound
-
-    def _hole_bound(self, hole_type: Type, depth: Optional[int] = None) -> float:
-        """Lower bound on the cheapest completion of an empty-context hole."""
-        if depth is None:
-            depth = self._HEURISTIC_DEPTH
-        if depth <= 0:
-            return 0.0
-        levels = self._bound_levels
-        while len(levels) <= depth:        # robust to overridden lookahead
-            levels.append({})
-        level = levels[depth]
-        cached = level.get(hole_type)
-        if cached is not None:
-            return cached
-        level[hole_type] = 0.0  # cycle guard (admissible placeholder)
-        best = math.inf
-        next_depth = depth - 1
-        next_level = self._bound_levels[next_depth] if next_depth > 0 else None
-        for candidate in self._candidates(hole_type, ()):
-            value = candidate.added_weight
-            if not candidate.binder_types and next_level is not None:
-                for parameter in candidate.parameter_types:
-                    bound = next_level.get(parameter)
-                    if bound is None:
-                        bound = self._hole_bound(parameter, next_depth)
-                    value += bound
-            if value < best:
-                best = value
-        level[hole_type] = best
-        return best
-
-    def _open_holes_bound(self, node: PartialNode, exclude_id: int,
-                          under_binders: bool = False) -> float:
-        """Sum of completion bounds over all open holes except *exclude_id*."""
-        if isinstance(node, HoleNode):
-            if node.hole_id == exclude_id:
-                return 0.0
-            return 0.0 if under_binders else self._hole_bound(node.type)
-        inner = under_binders or bool(node.binders)
-        return sum(self._open_holes_bound(argument, exclude_id, inner)
-                   for argument in node.arguments)
-
-    def _candidates(self, hole_type: Type,
-                    path_binders: tuple[Binder, ...]) -> tuple[Candidate, ...]:
-        """All fillings for a hole of *hole_type* under *path_binders*."""
-        key = (hole_type, path_binders)
-        cached = self._candidate_cache.get(key)
-        if cached is not None:
-            return cached
-
-        hole_env = self._hole_environment(path_binders)
-        argument_types, result = uncurry(hole_type)
-        binders = tuple(Binder(self._names.fresh(), tpe)
-                        for tpe in argument_types)
-        binder_decls = [Declaration(b.name, b.type, DeclKind.LAMBDA)
-                        for b in binders]
-        inner_env = hole_env.extended(binder_decls) if binder_decls else hole_env
-
-        binder_sigmas = frozenset(sigma(b.type)
-                                  for b in path_binders + binders)
-        pattern_env = self._pattern_env_cache.get(binder_sigmas)
-        if pattern_env is None:
-            pattern_env = (self._base_succinct | binder_sigmas
-                           if binder_sigmas else self._base_succinct)
-            self._pattern_env_cache[binder_sigmas] = pattern_env
-        binder_cost = len(binders) * self._policy.binder_weight()
-
-        probe_positions = {binder.name: position
-                           for position, binder in enumerate(binders)}
-        found: list[Candidate] = []
-        decl_weights = self._decl_weights
-        declaration_weight = self._policy.declaration_weight
-        environment_lookup = self._environment.lookup
-        for pattern in self._patterns.lookup(pattern_env, result.name):
-            wanted = pattern.succinct_type()
-            for decl in inner_env.select(wanted):
-                parameter_types, _ = uncurry(decl.type)
-                weight = decl_weights.get(id(decl))
-                if weight is None:
-                    weight = declaration_weight(decl)
-                    if environment_lookup(decl.name) is decl:
-                        decl_weights[id(decl)] = weight
-                found.append(Candidate(
-                    added_weight=binder_cost + weight,
-                    declaration=decl,
-                    binder_types=tuple(argument_types),
-                    parameter_types=parameter_types,
-                    binder_index=probe_positions.get(decl.name),
-                ))
-        found.sort(key=lambda candidate: candidate.added_weight)
-        result_tuple = tuple(found)
-        self._candidate_cache[key] = result_tuple
-        return result_tuple
-
-    def _hole_environment(self, path_binders: tuple[Binder, ...]) -> Environment:
-        """Gamma_o extended with every binder in scope at the hole."""
-        if not path_binders:
-            return self._environment
-        decls = [Declaration(b.name, b.type, DeclKind.LAMBDA)
-                 for b in path_binders]
-        return self._environment.extended(decls)
-
-
-def _node_size(node: PartialNode) -> int:
-    if isinstance(node, HoleNode):
-        return 1
-    return 1 + sum(_node_size(argument) for argument in node.arguments)
-
-
 def reconstruct(patterns: PatternSet, environment: Environment, goal: Type,
                 policy: WeightPolicy, limit: Optional[int] = None,
                 max_steps: Optional[int] = None,
@@ -950,20 +611,6 @@ def reconstruct(patterns: PatternSet, environment: Environment, goal: Type,
     reconstructor = Reconstructor(patterns, environment, policy,
                                   max_steps=max_steps, time_limit=time_limit,
                                   max_term_size=max_term_size)
-    return _collect(reconstructor, goal, limit)
-
-
-def reconstruct_reference(patterns: PatternSet, environment: Environment,
-                          goal: Type, policy: WeightPolicy,
-                          limit: Optional[int] = None,
-                          max_steps: Optional[int] = None,
-                          time_limit: Optional[float] = None,
-                          max_term_size: Optional[int] = None,
-                          ) -> list[RawSnippet]:
-    """GenerateT over the reference (whole-tree) frontier, best first."""
-    reconstructor = ReferenceReconstructor(
-        patterns, environment, policy, max_steps=max_steps,
-        time_limit=time_limit, max_term_size=max_term_size)
     return _collect(reconstructor, goal, limit)
 
 

@@ -13,7 +13,7 @@ the quantities Table 2 calls *Prove*, *Recon* and *Total*.
 
 With ``config.interleaved`` (the default, following §5.6) pattern generation
 runs online: every batch of reachability edges found by exploration is fed
-to an :class:`IncrementalPatternGenerator` immediately, so a time-limited
+to an :class:`IndexedPatternGenerator` immediately, so a time-limited
 prover still yields patterns for everything it has explored.
 """
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.errors import ReproError
+from repro.server import metrics
 
 SCHEMA = "bench-serve/v1"
 
@@ -33,16 +34,12 @@ class SloError(ReproError):
 def percentile(samples: Sequence[float], fraction: float) -> Optional[float]:
     """The *fraction*-quantile of *samples* as an exact order statistic.
 
-    Same convention as the server's live ``LatencyWindow``: sort, index
-    ``min(int(fraction * n), n - 1)``.  ``None`` on no samples.
+    :func:`repro.server.metrics.percentile`, the server's convention, with
+    the fraction range-checked.  ``None`` on no samples.
     """
-    if not samples:
-        return None
     if not 0.0 <= fraction <= 1.0:
         raise SloError(f"fraction must be in [0, 1], got {fraction}")
-    ordered = sorted(samples)
-    index = min(int(fraction * len(ordered)), len(ordered) - 1)
-    return ordered[index]
+    return metrics.percentile(samples, fraction)
 
 
 @dataclass

@@ -10,7 +10,20 @@ from __future__ import annotations
 
 import time
 from collections import Counter, deque
-from typing import Optional
+from typing import Iterable, Optional
+
+
+def percentile(samples: Iterable[float], fraction: float) -> Optional[float]:
+    """The *fraction*-quantile (0..1) of *samples* as an exact order statistic.
+
+    Sorts the samples and indexes ``min(int(fraction * n), n - 1)``;
+    ``None`` on no samples.  The live windows here and in the router, and
+    the load harness's SLO accounting, all use this one convention.
+    """
+    ordered = sorted(samples)
+    if not ordered:
+        return None
+    return ordered[min(int(fraction * len(ordered)), len(ordered) - 1)]
 
 
 class LatencyWindow:
@@ -35,11 +48,7 @@ class LatencyWindow:
 
     def percentile(self, fraction: float) -> Optional[float]:
         """The *fraction*-quantile (0..1) of the current window, or None."""
-        if not self._samples:
-            return None
-        ordered = sorted(self._samples)
-        index = min(int(fraction * len(ordered)), len(ordered) - 1)
-        return ordered[index]
+        return percentile(self._samples, fraction)
 
     def snapshot(self) -> dict:
         def _ms(seconds: Optional[float]) -> Optional[float]:

@@ -75,6 +75,7 @@ from repro.server import protocol
 from repro.server.client import (AsyncCompletionClient, ClientConnectionError,
                                  SceneNotFoundError, ServerError,
                                  wait_until_healthy)
+from repro.server.metrics import percentile
 from repro.server.protocol import (CompleteRequest, EditSceneRequest,
                                    ProtocolError, RegisterSceneRequest,
                                    ReleaseSceneRequest)
@@ -496,11 +497,7 @@ class LatencyTracker:
 
     def percentile(self, fraction: float) -> Optional[float]:
         """The *fraction*-quantile (0..1) of the window, in ms, or None."""
-        if not self._samples:
-            return None
-        ordered = sorted(self._samples)
-        index = min(int(fraction * len(ordered)), len(ordered) - 1)
-        return ordered[index]
+        return percentile(self._samples, fraction)
 
     def reset(self) -> None:
         self._samples.clear()

@@ -1,9 +1,9 @@
 """Unit tests for repro.core.explore (backward search, Fig. 6/7)."""
 
-from repro.core.explore import (ReachabilityEdge, Request, child_request,
-                                explore, strip)
-from repro.core.succinct import primitive, sigma, succinct
-from repro.core.types import arrow, base, parse
+from repro.core.explore import Request, explore
+from repro.core.succinct import primitive, sigma
+from repro.core.types import base, parse
+from tests.core.oracle import child_request, edge_children, strip
 
 A, B, C = base("A"), base("B"), base("C")
 
@@ -72,7 +72,7 @@ class TestExplore:
         space = explore(env, primitive("B"))
         edge = space.edges[space.root][0]
         assert edge.source == sigma(parse("A -> B"))
-        children = edge.children()
+        children = edge_children(edge)
         assert len(children) == 1
         assert children[0].target == "A"
 
@@ -119,13 +119,6 @@ class TestExplore:
         space = explore(env, primitive("B"), priority=priority)
         order = [request.target for request in space.order]
         assert order.index("A") < order.index("X")
-
-    def test_on_edges_callback_sees_every_edge(self):
-        env = _env("A", "A -> B")
-        seen = []
-        space = explore(env, primitive("B"), on_edges=seen.extend)
-        flat = [edge for edge in seen]
-        assert sorted(map(str, flat)) == sorted(map(str, space.all_edges()))
 
     def test_edge_count(self):
         env = _env("A", "A -> B", "B")

@@ -3,14 +3,12 @@
 from hypothesis import given, settings
 
 from repro.core.explore import explore
-from repro.core.generate_patterns import (IncrementalPatternGenerator,
-                                          Pattern, PatternSet,
+from repro.core.generate_patterns import (IndexedPatternGenerator,
                                           generate_patterns,
                                           generate_patterns_incremental,
-                                          generate_patterns_with_predecessor_map,
-                                          goal_is_inhabited)
+                                          generate_patterns_with_predecessor_map)
 from repro.core.succinct import primitive, sigma
-from repro.core.types import base, parse
+from repro.core.types import parse
 from tests.helpers import environment_and_goal
 
 
@@ -80,12 +78,6 @@ class TestFixpoint:
         assert len(found) == 1
         assert found[0].premises == frozenset({primitive("A")})
 
-    def test_goal_is_inhabited_helper(self):
-        space = _space(["A", "A -> B"], "B")
-        assert goal_is_inhabited(space)
-        space2 = _space(["A -> B"], "B")
-        assert not goal_is_inhabited(space2)
-
 
 class TestIncremental:
     def test_matches_fixpoint_on_simple_chain(self):
@@ -100,16 +92,18 @@ class TestIncremental:
 
     def test_online_feeding_matches_batch(self):
         space = _space(["A", "A -> B", "B -> C", "C -> D"], "D")
-        online = IncrementalPatternGenerator()
-        for edge in space.all_edges():
-            online.add_edges([edge])  # one at a time, worst case
+        isp = space.indexed
+        online = IndexedPatternGenerator()
+        for edge in range(isp.edge_count()):
+            online.add_span(isp, edge, edge + 1)  # one at a time, worst case
         assert online.result().patterns == generate_patterns(space).patterns
 
     def test_goal_reached_flag(self):
         space = _space(["A", "A -> B"], "B")
-        online = IncrementalPatternGenerator()
-        online.add_edges(space.all_edges())
-        assert online.goal_reached(space.root)
+        isp = space.indexed
+        online = IndexedPatternGenerator()
+        online.add_span(isp, 0, isp.edge_count())
+        assert online.goal_reached(isp.root)
 
     @settings(max_examples=60, deadline=None)
     @given(environment_and_goal())

@@ -1,10 +1,10 @@
-"""Unit tests for repro.core.rcn (the Fig. 4 oracle)."""
+"""Unit tests for the Fig. 4 CL / RCN oracle (tests/core/oracle.py)."""
 
 from repro.core.environment import Declaration, DeclKind, Environment
-from repro.core.rcn import SuccinctDecider, cl, rcn
 from repro.core.succinct import primitive, sigma
 from repro.core.terms import canonicalize_lnf, lnf, lnf_depth
 from repro.core.types import parse
+from tests.core.oracle import SuccinctDecider, cl, rcn
 
 
 def _env(*pairs):

@@ -3,13 +3,14 @@
 from repro.core.environment import Declaration, DeclKind, Environment
 from repro.core.explore import explore
 from repro.core.generate_patterns import generate_patterns
-from repro.core.reconstruct import (AppNode, HoleNode, Reconstructor,
-                                    find_first_hole, hole_count, is_complete,
-                                    reconstruct, substitute_hole, to_lnf)
+from repro.core.reconstruct import Reconstructor, reconstruct
 from repro.core.succinct import sigma
 from repro.core.terms import Binder, lnf_depth, lnf_heads
 from repro.core.types import arrow, base, parse
 from repro.core.weights import WeightPolicy
+from tests.core.oracle import (AppNode, HoleNode, find_first_hole,
+                               hole_count, is_complete, reconstruct_reference,
+                               substitute_hole, to_lnf)
 
 A, B, C = base("A"), base("B"), base("C")
 
@@ -250,8 +251,6 @@ class TestPackedFrontier:
         assert [s.weight for s in first] == [s.weight for s in second]
 
     def test_reference_reconstructor_agrees_on_unit_scene(self):
-        from repro.core.reconstruct import reconstruct_reference
-
         declarations = [_decl("a", "A"), _decl("f", "A -> A")]
         env, goal, patterns = _pipeline(declarations, "A")
         packed = reconstruct(patterns, env, goal, WeightPolicy.standard(),

@@ -3,26 +3,32 @@
 The production prover (`explore` + the indexed fixpoints in
 `generate_patterns`) runs over integer ids in an
 :class:`~repro.core.space.EnvArena`; `explore_reference` and the
-``*_reference`` fixpoints are the retained structural transcription of
-Fig. 7/8/9.  These properties assert the two produce *identical* search
-spaces and pattern sets — node order, edge maps, predecessor maps,
-patterns and the inhabited relation — on random scenes, including
-truncated (budgeted) runs and both queue disciplines.
+``*_reference`` fixpoints in ``tests/core/oracle.py`` are the structural
+transcription of Fig. 7/8/9.  These properties assert the two produce
+*identical* search spaces and pattern sets — node order, edge maps,
+predecessor maps, patterns and the inhabited relation — on random scenes,
+including truncated (budgeted) runs and both queue disciplines.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.explore import explore, explore_reference
-from repro.core.generate_patterns import (IncrementalPatternGenerator,
-                                          IndexedPatternGenerator,
+from repro.core.explore import explore
+from repro.core.generate_patterns import (IndexedPatternGenerator,
                                           generate_patterns,
                                           generate_patterns_incremental,
-                                          generate_patterns_reference,
                                           generate_patterns_with_predecessor_map)
 from repro.core.space import EnvArena
 from repro.core.succinct import sigma, sort_key
+from tests.core import oracle
 from tests.helpers import environments, simple_types
+
+#: The three production fixpoints and their structural oracles.
+PRODUCTION_FIXPOINTS = (generate_patterns, generate_patterns_incremental,
+                        generate_patterns_with_predecessor_map)
+ORACLE_FIXPOINTS = (oracle.generate_patterns_reference,
+                    oracle.generate_patterns_incremental_reference,
+                    oracle.generate_patterns_with_predecessor_map_reference)
 
 
 @st.composite
@@ -47,8 +53,9 @@ def _run_both(environment, goal, max_nodes, prioritised):
     priority = _deterministic_priority if prioritised else None
     indexed = explore(env, succinct_goal, priority=priority,
                       max_nodes=max_nodes)
-    reference = explore_reference(env, succinct_goal, priority=priority,
-                                  max_nodes=max_nodes)
+    reference = oracle.explore_reference(env, succinct_goal,
+                                         priority=priority,
+                                         max_nodes=max_nodes)
     return indexed, reference
 
 
@@ -70,13 +77,14 @@ def test_explore_matches_reference(case):
 @given(exploration_cases())
 def test_pattern_sets_match_across_all_fixpoints(case):
     indexed, reference = _run_both(*case)
-    baseline = generate_patterns_reference(reference)
-    for space in (indexed, reference):
-        for fixpoint in (generate_patterns, generate_patterns_incremental,
-                         generate_patterns_with_predecessor_map):
-            produced = fixpoint(space)
-            assert produced.patterns == baseline.patterns
-            assert produced.inhabited == baseline.inhabited
+    baseline = oracle.generate_patterns_reference(reference)
+    # The oracles read the production space's views as well as their own.
+    produced_sets = [fixpoint(indexed) for fixpoint in PRODUCTION_FIXPOINTS]
+    produced_sets += [fixpoint(space) for space in (indexed, reference)
+                      for fixpoint in ORACLE_FIXPOINTS]
+    for produced in produced_sets:
+        assert produced.patterns == baseline.patterns
+        assert produced.inhabited == baseline.inhabited
     # The Fig. 10 lookup index must agree entry for entry (same order).
     indexed_set = generate_patterns(indexed)
     assert indexed_set._index == baseline._index
@@ -95,8 +103,8 @@ def test_interleaved_generators_match_post_hoc(case):
                     max_nodes=max_nodes, on_edges_indexed=online.add_span)
 
     batches = []
-    reference_online = IncrementalPatternGenerator()
-    reference_space = explore_reference(
+    reference_online = oracle.IncrementalPatternGenerator()
+    reference_space = oracle.explore_reference(
         env, succinct_goal, priority=priority, max_nodes=max_nodes,
         on_edges=lambda edges: (batches.append(list(edges)),
                                 reference_online.add_edges(edges)))
@@ -106,7 +114,7 @@ def test_interleaved_generators_match_post_hoc(case):
     assert produced.patterns == expected.patterns
     assert produced.inhabited == expected.inhabited
     # And both equal the post-hoc fixpoint over the full space.
-    post_hoc = generate_patterns_reference(reference_space)
+    post_hoc = oracle.generate_patterns_reference(reference_space)
     assert produced.patterns == post_hoc.patterns
     assert produced.inhabited == post_hoc.inhabited
     # The indexed explorer feeds its callback the same edge batches.
@@ -126,12 +134,13 @@ def test_shared_arena_reuse_is_transparent(case):
                     max_nodes=max_nodes, arena=arena)
     second = explore(env, succinct_goal, priority=priority,
                      max_nodes=max_nodes, arena=arena)
-    reference = explore_reference(env, succinct_goal, priority=priority,
-                                  max_nodes=max_nodes)
+    reference = oracle.explore_reference(env, succinct_goal,
+                                         priority=priority,
+                                         max_nodes=max_nodes)
     for space in (first, second):
         assert space.order == reference.order
         assert space.edges == reference.edges
         patterns = generate_patterns(space)
-        baseline = generate_patterns_reference(reference)
+        baseline = oracle.generate_patterns_reference(reference)
         assert patterns.patterns == baseline.patterns
         assert patterns.inhabited == baseline.inhabited

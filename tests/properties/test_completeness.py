@@ -8,10 +8,10 @@ normal-form terms the Fig. 4 oracle reconstructs — up to alpha-equivalence.
 from hypothesis import given, settings
 
 from repro.core.config import SynthesisConfig
-from repro.core.rcn import rcn
 from repro.core.synthesizer import Synthesizer
 from repro.core.terms import canonicalize_lnf, lnf_depth
 from repro.core.types import base
+from tests.core.oracle import rcn
 from tests.helpers import acyclic_environments, environment_and_goal
 
 EXHAUSTIVE = SynthesisConfig(max_snippets=4000, prover_time_limit=None,

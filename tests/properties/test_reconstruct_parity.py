@@ -1,9 +1,9 @@
 """Packed/reference parity: the packed frontier equals the Fig. 10 walk.
 
 The production :class:`~repro.core.reconstruct.Reconstructor` runs
-GenerateT over a packed spine frontier with int-keyed memo tables; the
-retained :class:`~repro.core.reconstruct.ReferenceReconstructor` is the
-whole-tree transcription of Fig. 10.  These properties assert the two
+GenerateT over a packed spine frontier with int-keyed memo tables;
+``ReferenceReconstructor`` in ``tests/core/oracle.py`` is the whole-tree
+transcription of Fig. 10.  These properties assert the two
 produce *byte-identical* output on random scenes — terms (binder names
 included, so the fresh-name supplies must be consumed in lockstep),
 weights, emission order, ranks through the full
@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 from repro.core.explore import explore
 from repro.core.generate_patterns import generate_patterns
-from repro.core.reconstruct import (Reconstructor, ReferenceReconstructor,
-                                    reconstruct, reconstruct_reference)
+from repro.core.reconstruct import Reconstructor, reconstruct
 from repro.core.succinct import sigma
 from repro.core.weights import WeightPolicy
+from tests.core.oracle import ReferenceReconstructor, reconstruct_reference
 from tests.helpers import environment_and_goal
 
 POLICIES = {
