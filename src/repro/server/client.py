@@ -365,24 +365,30 @@ class AsyncCompletionClient:
                               variant: Optional[str] = None,
                               n: Optional[int] = None,
                               deadline_ms: Optional[int] = None,
+                              budget_ms: Optional[int] = None,
+                              priority: Optional[int] = None,
                               context: Optional[CompletionContext
                                                 | dict] = None):
         """One completion as an async stream of NDJSON chunk dicts.
 
+        The request is :meth:`complete`'s, with the same defaults.
         Yields chunks in wire order: ``snippet`` chunks in rank order as
         the server emits them, then the terminal ``done`` chunk carrying
         the full batch-mode payload (so collected snippets can be checked
         against the final answer).  A mid-stream ``error`` chunk raises
-        the matching typed exception.  Streams ride a dedicated
-        connection, never the keep-alive pool — the server frames the
-        body by closing the socket.
+        the matching typed exception, and a stream cut off before its
+        ``done`` chunk raises :class:`ClientConnectionError`.  Streams
+        ride a dedicated connection, never the keep-alive pool — the
+        server frames the body by closing the socket.
         """
         if self._closed:
             raise ClientConnectionError("client is closed")
         request = CompleteRequest(scene_id=scene_id, scene=scene, goal=goal,
                                   variant=variant, n=n,
                                   deadline_ms=deadline_ms,
-                                  budget_ms=deadline_ms, stream=True,
+                                  budget_ms=(deadline_ms if budget_ms is None
+                                             else budget_ms),
+                                  priority=priority, stream=True,
                                   context=_as_context(context))
         body = encode_body({"v": PROTOCOL_VERSION, **request.to_payload()})
         head = (f"POST /v1/complete HTTP/1.1\r\n"
@@ -416,7 +422,8 @@ class AsyncCompletionClient:
                     line = await asyncio.wait_for(reader.readline(),
                                                   self.timeout)
                     if not line:
-                        break               # EOF ends the stream
+                        raise ConnectionError(
+                            "stream ended before its done chunk")
                     if not line.strip():
                         continue
                     try:

@@ -36,6 +36,9 @@ zero wire changes.  The pieces:
   reads go to the healthiest/least-loaded owner and fail over to a
   sibling replica instantly when one dies — the dead replica respawns
   in the background instead of stalling the request that found it.
+  Unary and streamed completions take the same read path: a stream is
+  opened (up to its first chunk) by the ladder that serves a unary
+  read, with its budget, hedge, failover, re-teach and degraded rungs.
 * **Circuit breakers and retry budgets**: each backend carries a
   closed → open → half-open breaker (consecutive connection failures
   open it; a cooldown admits probe traffic), and failover retries spend
@@ -80,8 +83,8 @@ from repro.server.protocol import (CompleteRequest, EditSceneRequest,
                                    ProtocolError, RegisterSceneRequest,
                                    ReleaseSceneRequest)
 from repro.server.server import (AsyncCompletionServer, _HttpError,
-                                 _HttpRequest, _http_response, _stream_head,
-                                 _stream_request_payload, read_http_request)
+                                 _HttpRequest, _http_response, _stream_wire,
+                                 _StreamWire, read_http_request)
 
 #: Sentinel prefix hashed to pick the probe backend for *new* scene text
 #: (the scene id — the real routing key — is only known once a backend
@@ -1385,11 +1388,11 @@ class CompletionRouter:
                     break
                 if request is None:
                     break
-                stream_payload = _stream_request_payload(request)
-                if stream_payload is not None:
-                    await self._proxy_stream(stream_payload, writer)
+                wire = _stream_wire(request, writer)
+                status, payload = await self._dispatch(request, wire)
+                if wire is not None:
+                    await wire.finish(status, payload)
                     break               # EOF-framed body: connection is done
-                status, payload = await self._dispatch(request)
                 writer.write(_http_response(status, payload,
                                             request.keep_alive))
                 await writer.drain()
@@ -1404,7 +1407,9 @@ class CompletionRouter:
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
 
-    async def _dispatch(self, request: _HttpRequest) -> tuple[int, dict]:
+    async def _dispatch(self, request: _HttpRequest,
+                        wire: Optional[_StreamWire] = None
+                        ) -> tuple[int, dict]:
         route = (request.method, request.path)
         if request.path in self.KNOWN_PATHS and request.method in ("GET",
                                                                    "POST"):
@@ -1424,7 +1429,7 @@ class CompletionRouter:
             if route == ("POST", "/v1/complete"):
                 return 200, await self._complete_one(
                     CompleteRequest.from_payload(
-                        protocol.decode_body(request.body)))
+                        protocol.decode_body(request.body)), wire)
             if route == ("POST", "/v1/complete-batch"):
                 return 200, await self._handle_batch(
                     protocol.decode_body(request.body))
@@ -1569,11 +1574,6 @@ class CompletionRouter:
         return (scene_id, request.goal, request.variant, request.n,
                 request.deadline_ms, context)
 
-    def _remember_lkg(self, key: tuple, response: dict) -> dict:
-        if response.get("ok") and not response.get("partial"):
-            self.lkg.remember(key, response)
-        return response
-
     # -- end-to-end deadline arithmetic --------------------------------------
 
     @staticmethod
@@ -1616,46 +1616,86 @@ class CompletionRouter:
         return min(self.config.request_timeout,
                    max(deadline_at - time.monotonic(), 0.0))
 
-    async def _complete_one(self, request: CompleteRequest) -> dict:
+    async def _complete_one(self, request: CompleteRequest,
+                            wire: Optional[_StreamWire] = None) -> dict:
+        """Serve one completion through the replica ladder.
+
+        With a *wire* the completion is proxied as a stream: the ladder's
+        RPC opens the backend stream and pulls its first chunk, so a
+        stream gets the unary read's budget, hedge, failover, re-teach
+        and degraded rungs, and every backend failure before that chunk
+        is still an HTTP error upstream.  Later chunks are relayed as the
+        backend emits them; the ``done`` chunk is returned for the
+        caller to write.
+        """
         scene_id = await self._resolve_scene_id(request)
         deadline_at = self._deadline_at(request)
+        key = self._lkg_key(scene_id, request)
 
-        def call(client: AsyncCompletionClient) -> Awaitable[dict]:
+        def hop() -> dict:
             # Re-derived per attempt: each hop sees only what is left.
-            # Context hints ride every attempt, so failover and hedge
-            # retries rank exactly like the first try.
-            return client.complete(scene_id, goal=request.goal,
-                                   variant=request.variant, n=request.n,
-                                   deadline_ms=request.deadline_ms,
-                                   budget_ms=self._remaining_budget_ms(
-                                       deadline_at),
-                                   priority=request.priority,
-                                   context=request.context)
+            # Priority and context hints ride every attempt, so failover
+            # and hedge retries shed and rank exactly like the first try.
+            return dict(goal=request.goal, variant=request.variant,
+                        n=request.n, deadline_ms=request.deadline_ms,
+                        budget_ms=self._remaining_budget_ms(deadline_at),
+                        priority=request.priority, context=request.context)
 
-        return await self._serve_with_failover(scene_id, request, call,
-                                               deadline_at=deadline_at)
+        if wire is None:
+            async def complete(client: AsyncCompletionClient) -> dict:
+                response = await client.complete(scene_id, **hop())
+                if response.get("ok") and not response.get("partial"):
+                    self.lkg.remember(key, response)
+                return response
+
+            return await self._serve_with_failover(
+                scene_id, key, complete,
+                lambda cached: {**cached, "degraded": True}, deadline_at)
+
+        async def open_stream(client: AsyncCompletionClient) -> tuple:
+            stream = client.complete_stream(scene_id, **hop())
+            return stream, await stream.__anext__()
+
+        stream, chunk = await self._serve_with_failover(
+            scene_id, key, open_stream, self._degraded_stream, deadline_at)
+        self.streams_proxied += 1
+        try:
+            while chunk["chunk"] != "done":
+                await wire.send(chunk)
+                chunk = await stream.__anext__()
+        finally:
+            await stream.aclose()
+        return chunk
 
     async def _attempt_backend(self, backend: Backend, scene_id: str,
                                call: Callable[[AsyncCompletionClient],
-                                              Awaitable[dict]]) -> dict:
-        """One replica attempt, with the journal re-teach for a backend
+                                              Awaitable],
+                               rpc: Optional[Callable] = None):
+        """One backend attempt, with the journal re-teach for a backend
         that is alive but lost the scene (eviction, unsupervised
-        restart) — invisible upstream."""
+        restart) — invisible upstream.
+
+        *rpc* carries each call: :meth:`_call_fast` (the default; a
+        dead backend fails the attempt so the ladder can fail over) or
+        :meth:`_call` (blocking respawn-and-retry, where there is no
+        sibling to fail over to).
+        """
+        rpc = rpc or self._call_fast
         try:
-            return await self._call_fast(backend, call)
+            return await rpc(backend, call)
         except SceneNotFoundError:
             entry = self.journal.lookup_scene(scene_id)
             if entry is None:
                 raise                       # never registered through us
             self.reregistrations += 1
-            await self._call_fast(backend, lambda c: c.register_scene(
+            await rpc(backend, lambda c: c.register_scene(
                 entry.text, name=entry.name))
-            return await self._call_fast(backend, call)
+            return await rpc(backend, call)
 
     async def _attempt_timed(self, backend: Backend, scene_id: str,
                              call: Callable[[AsyncCompletionClient],
-                                            Awaitable[dict]],
-                             deadline_at: Optional[float]) -> dict:
+                                            Awaitable],
+                             deadline_at: Optional[float]):
         """One replica attempt under the budget-clamped timeout.
 
         The clamp is ``min(request_timeout, remaining_budget)`` — a
@@ -1707,8 +1747,10 @@ class CompletionRouter:
 
     @staticmethod
     def _settle_task(task: "asyncio.Task") -> None:
-        """Cancel a losing hedge arm and keep its eventual exception
-        from tripping the event loop's never-retrieved warning."""
+        """Cancel a losing hedge arm — which closes its backend
+        connection, a stream it has opened included — and keep its
+        eventual exception from tripping the event loop's
+        never-retrieved warning."""
         task.cancel()
         task.add_done_callback(
             lambda t: t.cancelled() or t.exception())
@@ -1716,8 +1758,8 @@ class CompletionRouter:
     async def _attempt_hedged(self, backend: Backend,
                               siblings: Sequence[Backend], scene_id: str,
                               call: Callable[[AsyncCompletionClient],
-                                             Awaitable[dict]],
-                              deadline_at: Optional[float]) -> dict:
+                                             Awaitable],
+                              deadline_at: Optional[float]):
         """The first ladder rung, with a budget-bounded hedge.
 
         If the primary attempt outlives the percentile-derived hedge
@@ -1757,32 +1799,32 @@ class CompletionRouter:
                     return task.result()
         return primary.result()             # both failed: primary's error
 
-    async def _serve_with_failover(self, scene_id: str,
-                                   request: CompleteRequest,
+    async def _serve_with_failover(self, scene_id: str, key: tuple,
                                    call: Callable[[AsyncCompletionClient],
-                                                  Awaitable[dict]],
-                                   deadline_at: Optional[float] = None
-                                   ) -> dict:
+                                                  Awaitable],
+                                   degraded: Callable[[dict], object],
+                                   deadline_at: Optional[float] = None):
         """The read path: healthiest replica first, instant failover.
 
-        The ladder tries each replica-set backend in best-first order; a
-        connection failure kicks a background respawn and moves on to
-        the sibling.  Attempts beyond the first spend the router's retry
-        budget — a storm against a dead shard is bounded by construction.
+        *call* is one attempt's RPC: a unary completion, or a stream
+        opened up to its first chunk.  The ladder tries each replica-set
+        backend in best-first order; a connection failure kicks a
+        background respawn and moves on to the sibling.  Attempts beyond
+        the first spend the router's retry budget — a storm against a
+        dead shard is bounded by construction.
         A budgeted request is refused outright once its budget is spent
         (``deadline_exceeded``; never retried), each attempt runs under
         the budget-clamped timeout, and the first rung may hedge to a
         sibling when the primary turns out slow.  When every replica is
-        down the last-known-good cache answers with ``degraded: true``;
-        with nothing cached the preferred owner pays a blocking
-        respawn-and-retry (the pre-replication behaviour), so R=1
-        topologies and cold scenes still recover without a
-        client-visible error.
+        down the last-known-good answer under *key* is rendered by
+        *degraded* (marked ``degraded: true``); with nothing cached the
+        preferred owner pays a blocking respawn-and-retry (the
+        pre-replication behaviour), so R=1 topologies and cold scenes
+        still recover without a client-visible error.
         """
         self.retry_budget.on_request()
         self._note_scene_traffic(scene_id)
         self._fail_fast_if_spent(deadline_at)
-        key = self._lkg_key(scene_id, request)
         candidates = self._candidates(scene_id)
         attempts = 0
         last_error: Optional[ProtocolError] = None
@@ -1796,13 +1838,11 @@ class CompletionRouter:
             attempts += 1
             try:
                 if attempts == 1:
-                    result = await self._attempt_hedged(
+                    return await self._attempt_hedged(
                         backend, candidates[index + 1:], scene_id, call,
                         deadline_at)
-                else:
-                    result = await self._attempt_timed(
-                        backend, scene_id, call, deadline_at)
-                return self._remember_lkg(key, result)
+                return await self._attempt_timed(backend, scene_id, call,
+                                                 deadline_at)
             except ProtocolError as error:
                 if error.code != "internal":
                     raise                   # backend answered: not a failover
@@ -1811,23 +1851,13 @@ class CompletionRouter:
         cached = self.lkg.get(key)
         if cached is not None:
             self.degraded_served += 1
-            return {**cached, "degraded": True}
+            return degraded(cached)
         if not candidates:
             raise last_error or ProtocolError("no backends on the ring",
                                               code="internal")
         self._fail_fast_if_spent(deadline_at)   # a blocking respawn is
-        backend = candidates[0]                 # never worth a dead budget
-        try:
-            return self._remember_lkg(key,
-                                      await self._call(backend, call))
-        except SceneNotFoundError:
-            entry = self.journal.lookup_scene(scene_id)
-            if entry is None:
-                raise
-            self.reregistrations += 1
-            await self._call(backend, lambda c: c.register_scene(
-                entry.text, name=entry.name))
-            return self._remember_lkg(key, await self._call(backend, call))
+        return await self._attempt_backend(     # never worth a dead budget
+            candidates[0], scene_id, call, rpc=self._call)
 
     async def _handle_batch(self, payload) -> dict:
         requests = protocol.parse_batch_payload(payload)
@@ -1848,155 +1878,26 @@ class CompletionRouter:
         results = await asyncio.gather(*(_serve(r) for r in requests))
         return protocol.ok_payload(results=list(results))
 
-    # -- endpoint: complete (streaming) --------------------------------------
-
-    async def _proxy_stream(self, payload: dict,
-                            writer: asyncio.StreamWriter) -> None:
-        """Proxy one streamed completion from the owning backend.
-
-        Chunks are re-framed line by line, so the editor sees snippets as
-        the backend emits them — the router adds routing, not buffering.
-        Failures before the first chunk (validation, unknown scene, dead
-        shard) stay ordinary HTTP error responses; after the head is on
-        the wire they become a terminal ``error`` chunk, exactly like the
-        backend's own late failures.
-        """
-        self.requests["POST /v1/complete"] += 1
-        head_written = False
-        try:
-            request = CompleteRequest.from_payload(payload)
-            scene_id = await self._resolve_scene_id(request)
-            stream, chunk = await self._open_stream(scene_id, request)
-            writer.write(_stream_head())
-            head_written = True
-            self.streams_proxied += 1
-            while True:
-                writer.write(protocol.encode_stream_chunk(chunk))
-                await writer.drain()
-                try:
-                    chunk = await stream.__anext__()
-                except StopAsyncIteration:
-                    break
-        except ServerError as error:
-            self.errors[error.code] += 1
-            await self._stream_failure(writer, head_written, error.code,
-                                       error.message)
-        except ProtocolError as error:
-            self.errors[error.code] += 1
-            await self._stream_failure(writer, head_written, error.code,
-                                       str(error))
-        except ReproError as error:
-            self.errors["bad_request"] += 1
-            await self._stream_failure(writer, head_written, "bad_request",
-                                       str(error))
-        except Exception as error:          # noqa: BLE001 — serving boundary
-            self.errors["internal"] += 1
-            await self._stream_failure(writer, head_written, "internal",
-                                       f"{type(error).__name__}: {error}")
-
-    async def _stream_failure(self, writer: asyncio.StreamWriter,
-                              head_written: bool, code: str,
-                              message: str) -> None:
-        try:
-            if head_written:
-                writer.write(protocol.encode_stream_chunk(
-                    protocol.stream_error_chunk(code, message)))
-            else:
-                writer.write(_http_response(
-                    protocol.STATUS_FOR_CODE.get(code, 500),
-                    protocol.error_payload(code, message),
-                    keep_alive=False))
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass                            # downstream client vanished
-
-    async def _open_stream(self, scene_id: str, request: CompleteRequest):
-        """The owner's chunk stream plus its first chunk.
-
-        Opening eagerly pulls one chunk so every backend-side failure
-        mode surfaces *here*, before the proxy commits a response head —
-        with the same replica ladder as the unary path: instant failover
-        to a sibling (budgeted), a journal re-teach for unknown scenes,
-        a degraded last-known-good stream when every replica is down,
-        and a blocking respawn-and-retry only as the final resort.
-        """
-        def first_of(client: AsyncCompletionClient):
-            async def opened():
-                stream = client.complete_stream(
-                    scene_id, goal=request.goal, variant=request.variant,
-                    n=request.n, deadline_ms=request.deadline_ms,
-                    context=request.context)
-                try:
-                    return stream, await stream.__anext__()
-                except StopAsyncIteration:
-                    raise ClientConnectionError(
-                        "backend closed the stream before any chunk")
-            return opened()
-
-        self.retry_budget.on_request()
-        candidates = self._candidates(scene_id)
-        attempts = 0
-        last_error: Optional[ProtocolError] = None
-        for backend in candidates:
-            if len(candidates) > 1 and not backend.breaker.allow():
-                continue
-            if attempts and not self.retry_budget.try_spend():
-                break
-            attempts += 1
-            try:
-                try:
-                    return await self._call_fast(backend, first_of)
-                except SceneNotFoundError:
-                    entry = self.journal.lookup_scene(scene_id)
-                    if entry is None:
-                        raise
-                    self.reregistrations += 1
-                    await self._call_fast(backend, lambda c:
-                                          c.register_scene(entry.text,
-                                                           name=entry.name))
-                    return await self._call_fast(backend, first_of)
-            except ProtocolError as error:
-                if error.code != "internal":
-                    raise
-                last_error = error
-                self.failovers += 1
-        cached = self.lkg.get(self._lkg_key(scene_id, request))
-        if cached is not None:
-            self.degraded_served += 1
-            return self._degraded_stream(cached)
-        if not candidates:
-            raise last_error or ProtocolError("no backends on the ring",
-                                              code="internal")
-        return await self._call(candidates[0], first_of)
-
     @staticmethod
-    def _degraded_stream(payload: dict):
-        """A synthesized chunk stream replaying a last-known-good answer.
+    def _degraded_stream(payload: dict) -> tuple:
+        """A last-known-good answer as an opened stream: ``(rest, first
+        chunk)``, like the stream RPC's result.
 
         Mirrors the backend's wire shape — one ``snippet`` chunk per
         snippet, then a ``done`` summary — with ``degraded: true`` on
         the summary, so streaming clients degrade exactly like unary
         ones when every replica is down.
         """
-        done = protocol.stream_done_chunk({**payload, "degraded": True})
-        snippets = payload.get("snippets") or []
+        chunks = [{"v": protocol.PROTOCOL_VERSION, "chunk": "snippet",
+                   **snippet} for snippet in payload.get("snippets") or []]
+        chunks.append(protocol.stream_done_chunk({**payload,
+                                                  "degraded": True}))
 
-        def snippet_chunk(snippet: dict) -> dict:
-            return {"v": protocol.PROTOCOL_VERSION, "chunk": "snippet",
-                    **snippet}
+        async def rest():
+            for chunk in chunks[1:]:
+                yield chunk
 
-        async def remaining():
-            for snippet in snippets[1:]:
-                yield snippet_chunk(snippet)
-            yield done
-
-        async def only_done():
-            return
-            yield                           # pragma: no cover — generator
-
-        if not snippets:
-            return only_done(), done
-        return remaining(), snippet_chunk(snippets[0])
+        return rest(), chunks[0]
 
     # -- endpoint: edit-scene ------------------------------------------------
 
@@ -2020,17 +1921,8 @@ class CompletionRouter:
             return client.edit_scene(request.scene_id, list(request.ops),
                                      name=request.name)
 
-        try:
-            response = await self._call(backend, call)
-        except SceneNotFoundError:
-            entry = self.journal.lookup_scene(request.scene_id)
-            if entry is None:
-                raise
-            self.reregistrations += 1
-            backend = self._owner(request.scene_id)
-            await self._call(backend, lambda c: c.register_scene(
-                entry.text, name=entry.name))
-            response = await self._call(backend, call)
+        response = await self._attempt_backend(backend, request.scene_id,
+                                               call, rpc=self._call)
         self.edits += 1
         text = response.get("text")
         scene_id = response.get("scene_id")

@@ -19,11 +19,16 @@ One event loop, one engine, many editors.  The serving rules:
 * **Deadlines are anytime budgets.**  ``deadline_ms`` maps onto the
   paper's prover/reconstruction limits (§5.6); an expired budget returns
   the partial ranking found in time, marked ``"partial": true``.
+* **A stream is a completion plus a chunk emitter.**  Streamed and unary
+  completions share one path — admission, single-flight, cache, rerank,
+  accounting — and differ only in how the served snippets reach the
+  wire.
 
 The cache/coalescing discipline: the engine's result cache and in-flight
-table are touched *only* from the event loop; executor threads run the
-pure pipeline (`_run_synthesis`) and nothing else.  That single-writer
-rule is what makes the stdlib dicts safe without locks.
+tables are touched *only* from the event loop; executor threads run the
+pure pipeline (`_run_synthesis`, the one executor entry point for
+synthesis, streamed or not) and nothing else.  That single-writer rule
+is what makes the stdlib dicts safe without locks.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.errors import ReproError
-from repro.core.ranking import CompletionContext, RankingPipeline
+from repro.core.ranking import RankingPipeline
 from repro.core.synthesizer import SynthesisResult
 from repro.core.types import Type
 from repro.corpus.mining import ProjectWeightTables
@@ -209,26 +214,18 @@ async def read_http_request(reader: asyncio.StreamReader
 
 
 def _run_synthesis(prepared: PreparedScene, goal: Type, policy, config,
-                   n: Optional[int]) -> SynthesisResult:
+                   n: Optional[int], on_snippet=None) -> SynthesisResult:
     """The executor entry point: one pure pipeline run.
 
-    Module-level so tests can monkeypatch it (to count, delay or stub
-    synthesis) without touching the serving logic around it.
-    """
-    return prepared.synthesizer(policy, config).synthesize(goal, n=n)
-
-
-def _run_synthesis_stream(prepared: PreparedScene, goal: Type, policy,
-                          config, n: Optional[int],
-                          emit) -> SynthesisResult:
-    """`_run_synthesis` with a per-snippet callback (streamed serving).
-
-    *emit* is the loop-side queue bridge; it runs on this executor thread,
-    so streamed syntheses never go through the process pool — a callback
-    cannot cross a process boundary.
+    *on_snippet*, when given, runs on this executor thread with each
+    snippet as reconstruction emits it — a live stream's bridge to the
+    loop, which is why a live stream never goes through the process
+    pool: a callback cannot cross a process boundary.  Module-level so
+    tests can monkeypatch it (to count, delay or stub synthesis) without
+    touching the serving logic around it.
     """
     return prepared.synthesizer(policy, config).synthesize(
-        goal, n=n, on_snippet=emit)
+        goal, n=n, on_snippet=on_snippet)
 
 
 def _apply_edit(engine: CompletionEngine, scene: RegisteredScene,
@@ -262,15 +259,16 @@ def _apply_edit(engine: CompletionEngine, scene: RegisteredScene,
     return edited, text, outcome
 
 
-def _stream_request_payload(request: _HttpRequest) -> Optional[dict]:
-    """The decoded body of a streamed complete request, or ``None``.
+def _stream_wire(request: _HttpRequest,
+                 writer: asyncio.StreamWriter) -> Optional["_StreamWire"]:
+    """The chunk wire of a streamed complete request, or ``None``.
 
     The byte sniff keeps the hot batch path free of a second JSON decode;
-    a body that merely *mentions* "stream" decodes once here and once in
-    the handler — rare and harmless.  Undecodable bodies fall through to
-    the normal dispatch path, which reports the error with a proper HTTP
-    status.  Shared with the router, whose front side must fork to
-    chunk-proxy mode on exactly the same requests.
+    a streamed body decodes here and again in dispatch, which is cheap
+    next to serving it.  Undecodable bodies fall through to the
+    normal dispatch path, which reports the error with a proper HTTP
+    status.  Shared with the router, whose front side must stream on
+    exactly the same requests.
     """
     if (request.method, request.path) != ("POST", "/v1/complete"):
         return None
@@ -282,42 +280,63 @@ def _stream_request_payload(request: _HttpRequest) -> Optional[dict]:
         return None
     if not isinstance(payload, dict) or payload.get("stream") is not True:
         return None
-    return payload
-
-
-def _stream_head() -> bytes:
-    """The response head of a streamed completion.
-
-    No Content-Length — the body is an NDJSON sequence of unknown length,
-    framed by connection close (HTTP/1.1 EOF framing) — which is why a
-    streamed response always ends its connection.
-    """
-    return (f"HTTP/1.1 200 OK\r\n"
-            f"Content-Type: {protocol.STREAM_CONTENT_TYPE}\r\n"
-            f"Connection: close\r\n"
-            f"\r\n").encode("latin-1")
+    return _StreamWire(writer)
 
 
 class _StreamWire:
-    """Chunk writer that survives client disconnects.
+    """The NDJSON chunk writer of one streamed response.
 
-    A vanished reader must not abort synthesis — the result still goes
-    into the cache and coalesced waiters still get it — so a write
-    failure flips ``broken`` and later chunks are silently dropped.
+    The response head goes out with the first chunk, so until then a
+    failed request still answers with an ordinary HTTP error; after it,
+    with a terminal ``error`` chunk.  A vanished reader must not abort
+    synthesis — the result still goes into the cache and coalesced
+    waiters still get it — so a write failure flips ``broken`` and later
+    chunks are silently dropped.
     """
+
+    #: No Content-Length: the body is an NDJSON sequence of unknown
+    #: length, framed by connection close (HTTP/1.1 EOF framing), which
+    #: is why a streamed response always ends its connection.
+    HEAD = (f"HTTP/1.1 200 OK\r\n"
+            f"Content-Type: {protocol.STREAM_CONTENT_TYPE}\r\n"
+            f"Connection: close\r\n"
+            f"\r\n").encode("latin-1")
 
     def __init__(self, writer: asyncio.StreamWriter):
         self._writer = writer
         self.broken = False
         self.chunks = 0
 
-    async def send(self, chunk: dict) -> None:
-        if self.broken:
+    def write(self, chunk: dict) -> None:
+        """Queue one chunk (the head rides with the first) unawaited."""
+        if self.broken or self._writer.is_closing():
+            self.broken = True
             return
+        data = protocol.encode_stream_chunk(chunk)
+        self._writer.write(data if self.chunks else self.HEAD + data)
+        self.chunks += 1
+
+    async def send(self, chunk: dict) -> None:
+        self.write(chunk)
+        await self._drain()
+
+    async def finish(self, status: int, payload: dict) -> None:
+        """End the stream: *payload* is the done chunk's completion on
+        200, else an error envelope."""
+        if status == 200:
+            self.write(protocol.stream_done_chunk(payload))
+        elif self.chunks:
+            error = payload["error"]
+            self.write(protocol.stream_error_chunk(error["code"],
+                                                   error["message"]))
+        elif not self.broken:
+            self._writer.write(_http_response(status, payload,
+                                              keep_alive=False))
+        await self._drain()
+
+    async def _drain(self) -> None:
         try:
-            self._writer.write(protocol.encode_stream_chunk(chunk))
             await self._writer.drain()
-            self.chunks += 1
         except (ConnectionError, OSError):
             self.broken = True
 
@@ -327,7 +346,6 @@ class _ServedCompletion:
     result: SynthesisResult
     cache_hit: bool
     coalesced: bool
-    reranked: bool = False
 
 
 @dataclass
@@ -607,11 +625,14 @@ class AsyncCompletionServer:
                     break
                 if request is None:
                     break
-                stream_payload = _stream_request_payload(request)
-                if stream_payload is not None:
-                    await self._handle_stream(stream_payload, writer)
+                wire = _stream_wire(request, writer)
+                status, payload = await self._dispatch(request, wire)
+                if wire is not None:
+                    await wire.finish(status, payload)
+                    if wire.chunks:
+                        self.metrics.streams += 1
+                    self.metrics.stream_chunks += wire.chunks
                     break               # EOF-framed body: connection is done
-                status, payload = await self._dispatch(request)
                 writer.write(_http_response(status, payload,
                                             request.keep_alive))
                 await writer.drain()
@@ -640,7 +661,9 @@ class AsyncCompletionServer:
                    "/v1/complete", "/v1/complete-batch",
                    "/v1/release-scene", "/v1/edit-scene")
 
-    async def _dispatch(self, request: _HttpRequest) -> tuple[int, dict]:
+    async def _dispatch(self, request: _HttpRequest,
+                        wire: Optional[_StreamWire] = None
+                        ) -> tuple[int, dict]:
         route = (request.method, request.path)
         # Count only the served surface (path AND method): both tokens are
         # client-chosen, so anything else buckets under "other" to keep
@@ -659,8 +682,9 @@ class AsyncCompletionServer:
                 return 200, await self._handle_register(
                     protocol.decode_body(request.body))
             if route == ("POST", "/v1/complete"):
-                return 200, await self._handle_complete(
-                    protocol.decode_body(request.body))
+                return 200, await self._complete_one(
+                    CompleteRequest.from_payload(
+                        protocol.decode_body(request.body)), wire)
             if route == ("POST", "/v1/complete-batch"):
                 return 200, await self._handle_batch(
                     protocol.decode_body(request.body))
@@ -710,37 +734,17 @@ class AsyncCompletionServer:
         if known_id is not None and known_id in self.registry:
             return self.registry.get(known_id), True
 
+        async def build() -> tuple[RegisteredScene, bool]:
+            async with self._register_lock:
+                scene = await asyncio.get_running_loop().run_in_executor(
+                    self._executor, build_scene, self.engine, text, name)
+                return self.registry.adopt(scene)
+
         # Single-flight per digest, like synthesis: a storm of identical
         # registrations costs one parse+prepare and one admission slot.
-        inflight = self._inflight_scenes.get(digest)
-        if inflight is not None:
-            scene = await asyncio.shield(inflight)
-            return scene, True
-
-        self._admit_or_reject()
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._inflight_scenes[digest] = future
-        self.metrics.enter_queue()
-        try:
-            async with self._register_lock:
-                scene = await loop.run_in_executor(
-                    self._executor, build_scene, self.engine, text, name)
-                scene, already = self.registry.adopt(scene)
-        except BaseException as error:
-            if isinstance(error, asyncio.CancelledError):
-                future.set_exception(ProtocolError(
-                    "registration cancelled (server shutting down)",
-                    code="internal"))
-            else:
-                future.set_exception(error)
-            future.exception()              # mark retrieved for no-waiter case
-            raise
-        else:
-            future.set_result(scene)
-        finally:
-            self.metrics.leave_queue()
-            self._inflight_scenes.pop(digest, None)
+        (scene, already), joined = await self._single_flight(
+            self._inflight_scenes, digest, build)
+        already = already or joined
         if not already:
             self.metrics.scenes_registered += 1
             if self.config.gc_tune:
@@ -834,9 +838,6 @@ class AsyncCompletionServer:
 
     # -- endpoint: complete --------------------------------------------------
 
-    async def _handle_complete(self, payload) -> dict:
-        return await self._complete_one(CompleteRequest.from_payload(payload))
-
     async def _handle_batch(self, payload) -> dict:
         requests = protocol.parse_batch_payload(payload)
 
@@ -855,11 +856,7 @@ class AsyncCompletionServer:
 
     async def _resolve_completion(self, request: CompleteRequest
                                   ) -> _ResolvedCompletion:
-        """Bind a validated request to its scene, goal, policy and key.
-
-        Shared by the batch and streaming paths so the two can never
-        drift on scene resolution, deadline mapping or cache identity.
-        """
+        """Bind a validated request to its scene, goal, policy and key."""
         from repro.lang.parser import parse_type
 
         if request.scene_id is not None:
@@ -897,21 +894,44 @@ class AsyncCompletionServer:
                                    policy=policy, config=config,
                                    deadline_ms=deadline_ms, key=key)
 
-    async def _complete_one(self, request: CompleteRequest) -> dict:
+    async def _complete_one(self, request: CompleteRequest,
+                            wire: Optional[_StreamWire] = None) -> dict:
+        """Serve one completion; with a *wire*, stream its snippets too.
+
+        A stream is this same completion plus a chunk emitter.  The
+        leader of a live stream (an empty ranking chain, so base order is
+        served order) writes each snippet as reconstruction emits it;
+        every other stream replays the served, re-ranked result.  The
+        caller ends the stream with the returned payload as its ``done``
+        chunk.
+        """
         start = time.perf_counter()
         if self.config.inject_latency_ms:
             await asyncio.sleep(self.config.inject_latency_ms / 1000.0)
         resolved = await self._resolve_completion(request)
-        served = await self._serve_key(resolved.key, resolved.prepared,
-                                       resolved.goal, resolved.policy,
-                                       resolved.config, request.n,
-                                       priority=request.priority)
+        on_snippet = None
+        if wire is not None and not self.engine.ranking:
+            loop = asyncio.get_running_loop()
+
+            def on_snippet(snippet) -> None:
+                # Runs on the synthesis thread.  call_soon_threadsafe
+                # keeps emission order, and every write lands before the
+                # executor future's own completion callback.
+                loop.call_soon_threadsafe(
+                    wire.write, protocol.stream_snippet_chunk(snippet))
+
+        served = await self._serve_key(resolved, request.n,
+                                       request.priority, on_snippet)
         # Re-ranking runs strictly after cache lookup: the cache (and
         # snapshot) hold base results, so one fingerprint-keyed entry
         # serves every context — a repeat query with different hints is
         # still a cache hit, just re-scored for *its* cursor.
         final, reranked = self.engine.rerank_result(
             served.result, resolved.prepared, request.context)
+        if wire is not None and not wire.chunks:
+            # Replay the served result (a live leader wrote it already).
+            for snippet in final.snippets:
+                wire.write(protocol.stream_snippet_chunk(snippet))
         resolved.scene.completions += 1
         seconds = time.perf_counter() - start
         partial = bool(final.explore_truncated
@@ -926,257 +946,75 @@ class AsyncCompletionServer:
             deadline_ms=resolved.deadline_ms, server_seconds=seconds,
             reranked=reranked)
 
-    async def _serve_key(self, key, prepared: PreparedScene, goal: Type,
-                         policy, config, n: Optional[int], *,
-                         priority: Optional[int] = None
-                         ) -> _ServedCompletion:
+    async def _serve_key(self, resolved: _ResolvedCompletion,
+                         n: Optional[int], priority: Optional[int],
+                         on_snippet=None) -> _ServedCompletion:
         """Cache -> join in-flight -> admit -> synthesize, in that order."""
-        cached = self.engine.results.get(key)
+        cached = self.engine.results.get(resolved.key)
         if cached is not None:
             return _ServedCompletion(cached, cache_hit=True, coalesced=False)
 
-        inflight = self._inflight.get(key)
-        if inflight is not None:
-            result = await asyncio.shield(inflight)
-            return _ServedCompletion(result, cache_hit=False, coalesced=True)
+        async def synthesize() -> SynthesisResult:
+            synthesis_start = time.perf_counter()
+            result = await self._dispatch_synthesis(resolved, n, on_snippet)
+            self.engine.results.put(resolved.key, result)
+            self.metrics.record_synthesis(
+                time.perf_counter() - synthesis_start)
+            self._maybe_snapshot()
+            return result
 
+        result, coalesced = await self._single_flight(
+            self._inflight, resolved.key, synthesize, priority)
+        return _ServedCompletion(result, cache_hit=False, coalesced=coalesced)
+
+    async def _single_flight(self, inflight: dict, key, work,
+                             priority: Optional[int] = None) -> tuple:
+        """Join *key*'s in-flight leader, or lead: admit, run, publish.
+
+        Returns ``(value, joined)``.  Only a leader adds work, so only it
+        faces admission and holds a queue slot; joiners share its value
+        or its error.  Serves both scene registration and synthesis.
+        """
+        leader = inflight.get(key)
+        if leader is not None:
+            return await asyncio.shield(leader), True
         self._admit_or_reject(priority)
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._inflight[key] = future
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        inflight[key] = future
         self.metrics.enter_queue()
-        synthesis_start = time.perf_counter()
         try:
-            result = await self._dispatch_synthesis(loop, prepared, goal,
-                                                    policy, config, n)
+            value = await work()
         except BaseException as error:
             if isinstance(error, asyncio.CancelledError):
                 # Only the leader's task was cancelled (shutdown); give
-                # coalesced waiters an answerable error, not cancellation.
+                # joined waiters an answerable error, not cancellation.
                 future.set_exception(ProtocolError(
-                    "synthesis cancelled (server shutting down)",
-                    code="internal"))
+                    "cancelled: server shutting down", code="internal"))
             else:
                 future.set_exception(error)
             future.exception()              # mark retrieved for no-waiter case
             raise
         else:
-            self.engine.results.put(key, result)
-            self.metrics.record_synthesis(
-                time.perf_counter() - synthesis_start)
-            future.set_result(result)
-            self._maybe_snapshot()
+            future.set_result(value)
         finally:
             self.metrics.leave_queue()
-            self._inflight.pop(key, None)
-        return _ServedCompletion(result, cache_hit=False, coalesced=False)
+            inflight.pop(key, None)
+        return value, False
 
-    # -- endpoint: complete (streaming) --------------------------------------
-
-    async def _handle_stream(self, payload: dict,
-                             writer: asyncio.StreamWriter) -> None:
-        """Serve one streamed completion as NDJSON chunks.
-
-        Failures before the head is written (validation, unknown scene,
-        admission) are ordinary HTTP error responses; once the head is on
-        the wire the HTTP status is gone, so later failures become a
-        terminal ``error`` chunk.  Chunks are emitted in rank order —
-        snippet chunks as reconstruction produces them, then one ``done``
-        chunk carrying the full batch payload.
-        """
-        self.metrics.requests["POST /v1/complete"] += 1
-        start = time.perf_counter()
-        try:
-            request = CompleteRequest.from_payload(payload)
-            resolved = await self._resolve_completion(request)
-            # Only a leader (cache miss, nothing in flight) adds work, so
-            # only it faces admission — and rejection must happen before
-            # the head is written to surface as a retryable 429.
-            if (self.engine.results.get(resolved.key) is None
-                    and resolved.key not in self._inflight):
-                self._admit_or_reject(request.priority)
-        except ProtocolError as error:
-            self.metrics.record_error(error.code)
-            writer.write(_http_response(
-                error.status, protocol.error_payload(error.code, str(error)),
-                keep_alive=False))
-            await writer.drain()
-            return
-        except ReproError as error:
-            self.metrics.record_error("bad_request")
-            writer.write(_http_response(
-                400, protocol.error_payload("bad_request", str(error)),
-                keep_alive=False))
-            await writer.drain()
-            return
-        writer.write(_stream_head())
-        wire = _StreamWire(writer)
-        self.metrics.streams += 1
-        try:
-            try:
-                served = await self._serve_stream(resolved, request.n, wire,
-                                                  context=request.context)
-            except ProtocolError as error:
-                self.metrics.record_error(error.code)
-                await wire.send(protocol.stream_error_chunk(error.code,
-                                                            str(error)))
-                return
-            except ReproError as error:
-                self.metrics.record_error("bad_request")
-                await wire.send(protocol.stream_error_chunk("bad_request",
-                                                            str(error)))
-                return
-            except Exception as error:      # noqa: BLE001 — serving boundary
-                self.metrics.record_error("internal")
-                await wire.send(protocol.stream_error_chunk(
-                    "internal", f"{type(error).__name__}: {error}"))
-                return
-            resolved.scene.completions += 1
-            seconds = time.perf_counter() - start
-            partial = bool(served.result.explore_truncated
-                           or served.result.reconstruction_truncated)
-            self.metrics.record_completion(
-                seconds, cache_hit=served.cache_hit,
-                coalesced=served.coalesced, partial=partial)
-            completion = protocol.completion_payload(
-                scene_id=resolved.scene.scene_id, goal=resolved.goal,
-                variant=resolved.variant, result=served.result,
-                cache_hit=served.cache_hit, coalesced=served.coalesced,
-                deadline_ms=resolved.deadline_ms, server_seconds=seconds,
-                reranked=served.reranked)
-            await wire.send(protocol.stream_done_chunk(completion))
-        finally:
-            self.metrics.stream_chunks += wire.chunks
-
-    async def _serve_stream(self, resolved: _ResolvedCompletion,
-                            n: Optional[int], wire: _StreamWire,
-                            context: Optional[CompletionContext] = None,
-                            ) -> _ServedCompletion:
-        """`_serve_key` with live emission.
-
-        Warm paths (cache hit, coalesced join) re-rank the completed base
-        result for *this* request's context and replay it as chunks —
-        same wire shape.  The leader path bridges the synthesis thread's
-        per-snippet callback onto the loop and forwards chunks as they
-        arrive — but only when the ranking chain is empty: an active
-        chain means the final order isn't known until synthesis
-        completes, so the leader buffers and emits the re-ranked list at
-        the end (rank order and weight monotonicity hold either way).
-        Either way the *base* result lands in the cache and coalesced
-        waiters are resolved, exactly like the batch path.
-        """
-        key = resolved.key
-        cached = self.engine.results.get(key)
-        if cached is not None:
-            final, reranked = self.engine.rerank_result(
-                cached, resolved.prepared, context)
-            for snippet in final.snippets:
-                await wire.send(protocol.stream_snippet_chunk(snippet))
-            return _ServedCompletion(final, cache_hit=True, coalesced=False,
-                                     reranked=reranked)
-
-        inflight = self._inflight.get(key)
-        if inflight is not None:
-            result = await asyncio.shield(inflight)
-            final, reranked = self.engine.rerank_result(
-                result, resolved.prepared, context)
-            for snippet in final.snippets:
-                await wire.send(protocol.stream_snippet_chunk(snippet))
-            return _ServedCompletion(final, cache_hit=False, coalesced=True,
-                                     reranked=reranked)
-
-        # Leader: the admission check already passed in _handle_stream
-        # (before the head was written); between there and here runs no
-        # await, so the key is still free to claim.
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._inflight[key] = future
-        self.metrics.enter_queue()
-        live = not self.engine.ranking
-        queue: asyncio.Queue = asyncio.Queue()
-
-        def _emit(snippet) -> None:
-            # Runs on the synthesis thread; put_nowait must happen on the
-            # loop.  call_soon_threadsafe preserves emission order.
-            if live:
-                loop.call_soon_threadsafe(queue.put_nowait, snippet)
-
-        synthesis_start = time.perf_counter()
-        task = loop.run_in_executor(
-            self._executor, _run_synthesis_stream, resolved.prepared,
-            resolved.goal, resolved.policy, resolved.config, n, _emit)
-        try:
-            if live:
-                result = await self._pump_stream(task, queue, wire)
-            else:
-                result = await task
-        except BaseException as error:
-            if isinstance(error, asyncio.CancelledError):
-                future.set_exception(ProtocolError(
-                    "synthesis cancelled (server shutting down)",
-                    code="internal"))
-            else:
-                future.set_exception(error)
-            future.exception()              # mark retrieved for no-waiter case
-            raise
-        else:
-            self.engine.results.put(key, result)
-            self.metrics.record_synthesis(
-                time.perf_counter() - synthesis_start)
-            future.set_result(result)
-            self._maybe_snapshot()
-        finally:
-            self.metrics.leave_queue()
-            self._inflight.pop(key, None)
-        if live:
-            return _ServedCompletion(result, cache_hit=False,
-                                     coalesced=False)
-        final, reranked = self.engine.rerank_result(
-            result, resolved.prepared, context)
-        for snippet in final.snippets:
-            await wire.send(protocol.stream_snippet_chunk(snippet))
-        return _ServedCompletion(final, cache_hit=False, coalesced=False,
-                                 reranked=reranked)
-
-    async def _pump_stream(self, task, queue: asyncio.Queue,
-                           wire: _StreamWire) -> SynthesisResult:
-        """Forward snippets from the synthesis thread as they arrive.
-
-        The emit callback and the executor future's completion both reach
-        the loop via ``call_soon_threadsafe`` from the same thread, in
-        FIFO order — so once *task* is done, every emitted snippet is
-        already in the queue and the final drain loses nothing.
-        """
-        getter: Optional[asyncio.Future] = None
-        try:
-            while not task.done():
-                getter = asyncio.ensure_future(queue.get())
-                await asyncio.wait({getter, task},
-                                   return_when=asyncio.FIRST_COMPLETED)
-                if getter.done():
-                    await wire.send(
-                        protocol.stream_snippet_chunk(getter.result()))
-                    getter = None
-        finally:
-            if getter is not None:
-                getter.cancel()
-        result = await task                 # raises the synthesis error
-        while not queue.empty():
-            await wire.send(
-                protocol.stream_snippet_chunk(queue.get_nowait()))
-        return result
-
-    async def _dispatch_synthesis(self, loop, prepared: PreparedScene,
-                                  goal: Type, policy, config,
-                                  n: Optional[int]) -> SynthesisResult:
-        """One pipeline run: on the process pool when configured, else on
-        the thread executor.
+    async def _dispatch_synthesis(self, resolved: _ResolvedCompletion,
+                                  n: Optional[int],
+                                  on_snippet=None) -> SynthesisResult:
+        """One pipeline run: on the process pool when configured and no
+        live emitter rides along, else on the thread executor.
 
         A broken pool (workers killed by the sandbox mid-flight) downgrades
         the server to threads permanently rather than failing requests —
         the work is pure, so rerunning it in-process is always valid.
         """
-        if self._pool is not None:
+        loop = asyncio.get_running_loop()
+        prepared, goal = resolved.prepared, resolved.goal
+        policy, config = resolved.policy, resolved.config
+        if self._pool is not None and on_snippet is None:
             base = prepared.base_environment
             edges = tuple(prepared.subtypes.edges())
             fingerprint = base.fingerprint()
@@ -1203,7 +1041,8 @@ class AsyncCompletionServer:
                 self._pool = None
                 self.metrics.record_error("pool_broken")
         return await loop.run_in_executor(
-            self._executor, _run_synthesis, prepared, goal, policy, config, n)
+            self._executor, _run_synthesis, prepared, goal, policy, config, n,
+            on_snippet)
 
     def _admit_or_reject(self, priority: Optional[int] = None) -> None:
         """Admission control: one gauge (queue depth) bounds all CPU work.

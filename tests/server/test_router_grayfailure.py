@@ -13,11 +13,15 @@ the attempt timeout fires.
 import asyncio
 import contextlib
 import dataclasses
+import socket
+import threading
 
 import pytest
 
+import repro.server.server as server_module
 from repro.server.client import (AsyncCompletionClient,
-                                 DeadlineExceededError, ServerError)
+                                 DeadlineExceededError, OverloadedError,
+                                 ServerError)
 from repro.server.protocol import CompleteRequest, ProtocolError
 from repro.server.router import (Backend, CompletionRouter, LatencyTracker,
                                  RouterConfig)
@@ -325,6 +329,21 @@ def _make_slow(server, latency_ms):
                                         inject_latency_ms=latency_ms)
 
 
+async def _stream(client, scene_id, **kwargs):
+    return [chunk async for chunk in client.complete_stream(scene_id,
+                                                            **kwargs)]
+
+
+def _peer_closed(writer) -> bool:
+    """Whether the far end of one server-side connection has closed."""
+    fd = socket.dup(writer.transport.get_extra_info("socket").fileno())
+    with socket.socket(fileno=fd) as sock:
+        try:
+            return sock.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT) == b""
+        except BlockingIOError:
+            return False
+
+
 def _primary_index(router, backends, scene_id):
     backend = router.backends[router._candidates(scene_id)[0].backend_id]
     for index, server in enumerate(backends):
@@ -352,6 +371,25 @@ class TestDeadlineBehaviour:
                 assert router.deadline_exceeded >= 1
                 assert router.retry_budget.granted == 0, (
                     "deadline_exceeded must never be retried")
+                assert router.failovers == 0
+
+        asyncio.run(main())
+
+    def test_spent_budget_stream_is_refused_like_a_unary_read(self):
+        """A routed stream anchors the client's budget at the router and
+        fails fast once it is spent — the unary read's ladder."""
+        async def main():
+            slow = [ServerConfig(port=0, inject_latency_ms=2_000)
+                    for _ in range(2)]
+            async with attached_router(
+                    2, server_configs=slow,
+                    hedge_factor=0.0) as (router, backends, client):
+                scene_id = (await client.register_scene(
+                    SCENE))["scene_id"]
+                with pytest.raises(DeadlineExceededError):
+                    await _stream(client, scene_id, n=5, budget_ms=80)
+                assert router.deadline_exceeded >= 1
+                assert router.retry_budget.granted == 0
                 assert router.failovers == 0
 
         asyncio.run(main())
@@ -400,6 +438,41 @@ class TestHedgingBehaviour:
 
         asyncio.run(main())
 
+    def test_slow_primary_is_hedged_for_a_stream_too(self):
+        """A stream is opened by the unary read's ladder, hedge included:
+        a slow primary's stream completes on the sibling with the unary
+        baseline's snippets."""
+        async def main():
+            async with attached_router(
+                    2, hedge_floor_ms=30) as (router, backends, client):
+                scene_id = (await client.register_scene(
+                    SCENE))["scene_id"]
+                baseline = await client.complete(scene_id, n=6)
+
+                primary = _primary_index(router, backends, scene_id)
+                _make_slow(backends[primary], 2_000)
+
+                chunks = await _stream(client, scene_id, n=6)
+                done = chunks[-1]
+                assert done["chunk"] == "done"
+                assert "degraded" not in done
+                assert done["snippets"] == baseline["snippets"]
+                assert [c["code"] for c in chunks[:-1]] == [
+                    s["code"] for s in baseline["snippets"]]
+                assert router.hedges >= 1
+                assert router.hedges_won >= 1
+
+                # Cancelling the losing arm closed its stream to the slow
+                # primary; it is not held open until the primary answers.
+                slow = backends[primary]
+                for _ in range(100):
+                    if any(map(_peer_closed, slow._conn_writers)):
+                        break
+                    await asyncio.sleep(0.01)
+                assert any(map(_peer_closed, slow._conn_writers))
+
+        asyncio.run(main())
+
     def test_dry_budget_blocks_the_hedge(self):
         async def main():
             async with attached_router(
@@ -420,6 +493,57 @@ class TestHedgingBehaviour:
                     "slow, but served")
                 assert router.hedges == 0
                 assert router.retry_budget.denied >= 1
+
+        asyncio.run(main())
+
+
+class TestRoutedPriority:
+    def test_low_priority_stream_is_shed_like_a_unary_read(
+            self, monkeypatch):
+        """Both replicas sit at the soft watermark (1 of 4 pending at
+        ``shed_watermark=0.25``): the router forwards the client's
+        priority, so a priority-0 stream is shed with 429 exactly like a
+        priority-0 unary read."""
+        release = threading.Event()
+        real = server_module._run_synthesis
+
+        def blocking_synthesis(*args):
+            release.wait(10)
+            return real(*args)
+
+        monkeypatch.setattr(server_module, "_run_synthesis",
+                            blocking_synthesis)
+
+        async def main():
+            tight = [ServerConfig(port=0, max_pending=4, shed_watermark=0.25)
+                     for _ in range(2)]
+            async with attached_router(
+                    2, server_configs=tight,
+                    hedge_factor=0.0) as (router, backends, client):
+                scene_id = (await client.register_scene(
+                    SCENE))["scene_id"]
+                directs = [AsyncCompletionClient(server.host, server.port)
+                           for server in backends]
+                held = [asyncio.create_task(direct.complete(scene_id, n=1))
+                        for direct in directs]
+                try:
+                    for _ in range(500):
+                        if all(server.metrics.queue_depth >= 1
+                               for server in backends):
+                            break
+                        await asyncio.sleep(0.01)
+                    assert all(server.metrics.queue_depth == 1
+                               for server in backends)
+                    with pytest.raises(OverloadedError):
+                        await client.complete(scene_id, n=2, priority=0)
+                    with pytest.raises(OverloadedError):
+                        await asyncio.wait_for(
+                            _stream(client, scene_id, n=2, priority=0), 5)
+                finally:
+                    release.set()
+                    await asyncio.gather(*held)
+                    for direct in directs:
+                        await direct.close()
 
         asyncio.run(main())
 

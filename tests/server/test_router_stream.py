@@ -97,6 +97,17 @@ class TestRoutedStreaming:
                 assert direct[:-1] == chunks[:-1]
         asyncio.run(main())
 
+    def test_streams_count_toward_rebalancing(self):
+        """Streams share the unary read path, so the skew policy sees
+        their traffic too."""
+        async def main():
+            async with attached_router() as (router, backends, client):
+                scene_id = (await client.register_scene(SCENE))["scene_id"]
+                await _collect(client, scene_id, n=3)
+                await client.complete(scene_id, n=3)
+                assert router._scene_traffic[scene_id] == 2
+        asyncio.run(main())
+
     def test_routed_stats_aggregate_stream_counters(self):
         async def main():
             async with attached_router() as (router, backends, client):

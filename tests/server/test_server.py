@@ -329,7 +329,8 @@ class TestAdmissionControl:
 class TestDeadlines:
     def test_expired_deadline_returns_partial_anytime_result(
             self, monkeypatch):
-        def truncated_synthesis(prepared, goal, policy, config, n):
+        def truncated_synthesis(prepared, goal, policy, config, n,
+                                on_snippet=None):
             # The pipeline's anytime behaviour: budget ran out mid-search.
             assert config.prover_time_limit <= 0.5
             return SynthesisResult(inhabited=True,

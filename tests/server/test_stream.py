@@ -7,9 +7,12 @@ test boots a real :class:`AsyncCompletionServer` and talks through
 
 import asyncio
 import contextlib
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro.server.server as server_module
 from repro.server.client import (AsyncCompletionClient, SceneNotFoundError,
                                  ServerError)
 from repro.server.server import AsyncCompletionServer, ServerConfig
@@ -49,6 +52,15 @@ async def _collect(client, scene_id, **kwargs):
     async for chunk in client.complete_stream(scene_id, **kwargs):
         chunks.append(chunk)
     return chunks
+
+
+async def _until(predicate, timeout=5.0):
+    """Poll *predicate* on the event loop until it holds (or fail)."""
+    for _ in range(int(timeout / 0.01)):
+        if predicate():
+            return
+        await asyncio.sleep(0.01)
+    raise AssertionError("condition never held")
 
 
 class TestStreaming:
@@ -114,6 +126,98 @@ class TestStreaming:
                 assert stats["server"]["streams"] == 2
                 assert stats["server"]["stream_chunks"] == \
                     len(first) + len(second)
+        asyncio.run(main())
+
+
+class TestLiveStreaming:
+    """With an empty ranking chain (``rerank=False``) base order is the
+    served order, so the leader of a cold stream writes each snippet as
+    reconstruction emits it instead of replaying the finished result."""
+
+    def test_live_leader_streams_coalesces_and_replays(self, monkeypatch):
+        real = server_module._run_synthesis
+        publish = threading.Event()
+
+        def held_synthesis(prepared, goal, policy, config, n,
+                           on_snippet=None):
+            result = real(prepared, goal, policy, config, n, on_snippet)
+            publish.wait(10)            # snippets are out, the result not
+            return result
+
+        monkeypatch.setattr(server_module, "_run_synthesis", held_synthesis)
+
+        async def main():
+            async with running_server(rerank=False) as (server, client):
+                scene_id = (await client.register_scene(SCENE))["scene_id"]
+                chunks = []
+
+                async def stream():
+                    async for chunk in client.complete_stream(scene_id,
+                                                              n=5):
+                        chunks.append(chunk)
+
+                streaming = asyncio.create_task(stream())
+                try:
+                    # Chunks arrive while the synthesis has not returned.
+                    await _until(lambda: chunks)
+                    # A unary request for the same key joins the leader.
+                    unary = asyncio.create_task(client.complete(scene_id,
+                                                                n=5))
+                    await _until(lambda: server.metrics.requests[
+                        "POST /v1/complete"] == 2)
+                finally:
+                    publish.set()
+                await streaming
+                joined = await unary
+
+                snippets, done = chunks[:-1], chunks[-1]
+                assert [c["chunk"] for c in snippets] == \
+                    ["snippet"] * len(snippets)
+                assert [c["rank"] for c in snippets] == \
+                    list(range(1, len(snippets) + 1))
+                weights = [c["weight"] for c in snippets]
+                assert weights == sorted(weights)
+                assert done["chunk"] == "done"
+                assert done["cache_hit"] is False
+                assert done["reranked"] is False
+                assert [{"rank": c["rank"], "code": c["code"],
+                         "weight": c["weight"]} for c in snippets] == \
+                    done["snippets"]
+
+                assert joined["coalesced"] is True
+                assert joined["snippets"] == done["snippets"]
+                stats = (await client.stats())["server"]
+                assert stats["synthesized"] == 1
+                assert stats["coalesced"] == 1
+
+                warm = await _collect(client, scene_id, n=5)
+                assert warm[-1]["cache_hit"] is True
+                assert warm[:-1] == snippets
+        asyncio.run(main())
+
+
+class TestStreamExecutors:
+    def test_streamed_miss_takes_the_pool_unless_live(self):
+        """A callback cannot cross a process boundary, so only a live
+        stream (empty ranking chain) stays on the threads; with reranking
+        on, a streamed miss goes to the ``--workers`` pool like a unary
+        one.  A thread pool stands in for the process pool."""
+        class CountingPool(ThreadPoolExecutor):
+            submitted = 0
+
+            def submit(self, *args, **kwargs):
+                self.submitted += 1
+                return super().submit(*args, **kwargs)
+
+        async def main():
+            for rerank in (True, False):
+                async with running_server(rerank=rerank) as (server, client):
+                    server._pool = pool = CountingPool(max_workers=1)
+                    registered = await client.register_scene(SCENE)
+                    chunks = await _collect(client, registered["scene_id"],
+                                            n=4)
+                    assert chunks[-1]["cache_hit"] is False
+                    assert (pool.submitted > 0) is rerank
         asyncio.run(main())
 
 
