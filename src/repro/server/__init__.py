@@ -11,6 +11,9 @@ HTTP/1.1 with JSON bodies:
   releases engine state (and interned succinct types) on the way out;
 * :mod:`repro.server.metrics` — live counters and latency percentiles,
   served at ``/v1/stats``;
+* :mod:`repro.server.front` — :class:`HttpFront`, the HTTP wire the
+  server and the router share (connection loop, route table, error
+  envelopes, NDJSON streams);
 * :mod:`repro.server.server` — :class:`AsyncCompletionServer`: request
   coalescing (single-flight per :class:`~repro.engine.keys.QueryKey`),
   admission control (bounded pending queue, 429 on overflow), per-request

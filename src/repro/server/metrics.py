@@ -129,6 +129,11 @@ class ServerMetrics:
     def record_error(self, code: str) -> None:
         self.errors[code] += 1
 
+    def record_stream(self, chunks: int) -> None:
+        if chunks:
+            self.streams += 1
+        self.stream_chunks += chunks
+
     @property
     def uptime_seconds(self) -> float:
         return time.monotonic() - self._started_monotonic

@@ -4,7 +4,8 @@
 :class:`~repro.server.server.AsyncCompletionServer` process) and speaks
 the *existing* versioned HTTP/JSON protocol on both sides — clients
 already address scenes by content-derived ids, so sharding drops in with
-zero wire changes.  The pieces:
+zero wire changes.  Its front side is the server's own
+:class:`~repro.server.front.HttpFront`.  The pieces:
 
 * **Consistent hash ring** (:class:`HashRing`): every backend owns
   ``ring_replicas`` pseudo-random points on a 64-bit ring; a scene id
@@ -82,9 +83,7 @@ from repro.server.metrics import percentile
 from repro.server.protocol import (CompleteRequest, EditSceneRequest,
                                    ProtocolError, RegisterSceneRequest,
                                    ReleaseSceneRequest)
-from repro.server.server import (AsyncCompletionServer, _HttpError,
-                                 _HttpRequest, _http_response, _stream_wire,
-                                 _StreamWire, read_http_request)
+from repro.server.front import HttpFront, _StreamWire
 
 #: Sentinel prefix hashed to pick the probe backend for *new* scene text
 #: (the scene id — the real routing key — is only known once a backend
@@ -874,12 +873,6 @@ def check_config(config: RouterConfig, *,
 class CompletionRouter:
     """HTTP/JSON front door that shards scenes over backend servers."""
 
-    #: The router serves the backend surface plus its own admin
-    #: endpoints — the shared prefix is the server's tuple, so a
-    #: *backend* endpoint can never exist on one side only.
-    KNOWN_PATHS = AsyncCompletionServer.KNOWN_PATHS + (
-        "/v1/admin/backends",)
-
     def __init__(self, config: Optional[RouterConfig] = None):
         self.config = config or RouterConfig()
         self.ring = HashRing(self.config.ring_replicas)
@@ -922,7 +915,16 @@ class CompletionRouter:
         self._session_homes: dict[str, str] = {}
         self.started = time.monotonic()
         self._respawn_locks: dict[str, asyncio.Lock] = {}
-        self._server: Optional[asyncio.base_events.Server] = None
+        self.front = HttpFront({
+            ("GET", "/healthz"): self._healthz_payload,
+            ("GET", "/v1/stats"): self._stats_payload,
+            ("POST", "/v1/register-scene"): self._handle_register,
+            ("POST", "/v1/release-scene"): self._handle_release,
+            ("POST", "/v1/edit-scene"): self._handle_edit,
+            ("GET", "/v1/admin/backends"): self._admin_list_payload,
+            ("POST", "/v1/admin/backends"): self._handle_admin,
+        }, self._complete_one, read_timeout=self.config.read_timeout,
+            requests=self.requests, errors=self.errors)
         self.host = self.config.host
         self.port = self.config.port
 
@@ -944,23 +946,15 @@ class CompletionRouter:
         for backend in self.backends.values():
             await wait_until_healthy(backend.client)
             await self._replay_into(backend)
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.config.host,
-            port=self.config.port)
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
+        self.host, self.port = await self.front.start(self.config.host,
+                                                      self.config.port)
         self._supervisor_task = asyncio.ensure_future(self._supervise())
 
     async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
+        await self.front.serve_forever()
 
     async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await self.front.close()
         if self._supervisor_task is not None:
             self._supervisor_task.cancel()
             try:
@@ -1366,111 +1360,11 @@ class CompletionRouter:
                 f"backend {backend.backend_id} unreachable: {error}",
                 code="internal") from error
 
-    # -- connection handling (same wire as the server) -----------------------
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    request = await asyncio.wait_for(
-                        read_http_request(reader),
-                        self.config.read_timeout)
-                except asyncio.TimeoutError:
-                    break
-                except _HttpError as error:
-                    self.errors["bad_request"] += 1
-                    writer.write(_http_response(
-                        error.status,
-                        protocol.error_payload("bad_request", str(error)),
-                        keep_alive=False))
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                wire = _stream_wire(request, writer)
-                status, payload = await self._dispatch(request, wire)
-                if wire is not None:
-                    await wire.finish(status, payload)
-                    break               # EOF-framed body: connection is done
-                writer.write(_http_response(status, payload,
-                                            request.keep_alive))
-                await writer.drain()
-                if not request.keep_alive:
-                    break
-        except (asyncio.IncompleteReadError, ConnectionError, ValueError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
-
-    async def _dispatch(self, request: _HttpRequest,
-                        wire: Optional[_StreamWire] = None
-                        ) -> tuple[int, dict]:
-        route = (request.method, request.path)
-        if request.path in self.KNOWN_PATHS and request.method in ("GET",
-                                                                   "POST"):
-            self.requests[f"{request.method} {request.path}"] += 1
-        else:
-            self.requests["other"] += 1
-        try:
-            if route == ("GET", "/healthz"):
-                return 200, self._healthz_payload()
-            if route == ("GET", "/v1/stats"):
-                return 200, await self._stats_payload()
-            if route == ("POST", "/v1/register-scene"):
-                request_obj = RegisterSceneRequest.from_payload(
-                    protocol.decode_body(request.body))
-                return 200, await self.register_text(request_obj.text,
-                                                      request_obj.name)
-            if route == ("POST", "/v1/complete"):
-                return 200, await self._complete_one(
-                    CompleteRequest.from_payload(
-                        protocol.decode_body(request.body)), wire)
-            if route == ("POST", "/v1/complete-batch"):
-                return 200, await self._handle_batch(
-                    protocol.decode_body(request.body))
-            if route == ("POST", "/v1/release-scene"):
-                return 200, await self._handle_release(
-                    protocol.decode_body(request.body))
-            if route == ("POST", "/v1/edit-scene"):
-                return 200, await self._handle_edit(
-                    protocol.decode_body(request.body))
-            if route == ("GET", "/v1/admin/backends"):
-                return 200, self._admin_list_payload()
-            if route == ("POST", "/v1/admin/backends"):
-                return 200, await self._handle_admin(
-                    protocol.decode_body(request.body))
-            if request.path in self.KNOWN_PATHS:
-                self.errors["bad_request"] += 1
-                return 405, protocol.error_payload(
-                    "bad_request",
-                    f"method {request.method} not allowed on {request.path}")
-            raise ProtocolError(f"unknown path {request.path!r}",
-                                code="not_found")
-        except ServerError as error:
-            # A backend answered an error envelope: pass it through with
-            # its own code and status — the router adds no new failure
-            # vocabulary to the wire.
-            self.errors[error.code] += 1
-            return error.status, protocol.error_payload(error.code,
-                                                        error.message)
-        except ProtocolError as error:
-            self.errors[error.code] += 1
-            return error.status, protocol.error_payload(error.code,
-                                                        str(error))
-        except ReproError as error:
-            self.errors["bad_request"] += 1
-            return 400, protocol.error_payload("bad_request", str(error))
-        except Exception as error:          # noqa: BLE001 — serving boundary
-            self.errors["internal"] += 1
-            return 500, protocol.error_payload(
-                "internal", f"{type(error).__name__}: {error}")
-
     # -- endpoint: register-scene --------------------------------------------
+
+    async def _handle_register(self, payload) -> dict:
+        request = RegisterSceneRequest.from_payload(payload)
+        return await self.register_text(request.text, request.name)
 
     async def register_text(self, text: str,
                             name: Optional[str] = None) -> dict:
@@ -1858,25 +1752,6 @@ class CompletionRouter:
         self._fail_fast_if_spent(deadline_at)   # a blocking respawn is
         return await self._attempt_backend(     # never worth a dead budget
             candidates[0], scene_id, call, rpc=self._call)
-
-    async def _handle_batch(self, payload) -> dict:
-        requests = protocol.parse_batch_payload(payload)
-
-        async def _serve(request: CompleteRequest) -> dict:
-            try:
-                return await self._complete_one(request)
-            except ServerError as error:
-                self.errors[error.code] += 1
-                return protocol.error_payload(error.code, error.message)
-            except ProtocolError as error:
-                self.errors[error.code] += 1
-                return protocol.error_payload(error.code, str(error))
-            except ReproError as error:
-                self.errors["bad_request"] += 1
-                return protocol.error_payload("bad_request", str(error))
-
-        results = await asyncio.gather(*(_serve(r) for r in requests))
-        return protocol.ok_payload(results=list(results))
 
     @staticmethod
     def _degraded_stream(payload: dict) -> tuple:

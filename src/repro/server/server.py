@@ -29,6 +29,10 @@ tables are touched *only* from the event loop; executor threads run the
 pure pipeline (`_run_synthesis`, the one executor entry point for
 synthesis, streamed or not) and nothing else.  That single-writer rule
 is what makes the stdlib dicts safe without locks.
+
+The HTTP wire (connection loop, parsing, dispatch, error envelopes,
+stream writer) is :class:`~repro.server.front.HttpFront`, shared with
+the router; this module declares the routes and ``_complete_one``.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.errors import ReproError
 from repro.core.ranking import RankingPipeline
 from repro.core.synthesizer import SynthesisResult
 from repro.core.types import Type
@@ -51,6 +54,7 @@ from repro.engine.engine import (CompletionEngine, PreparedScene,
                                  _RemoteQuery, policy_for_variant)
 from repro.engine.keys import query_key
 from repro.server import protocol
+from repro.server.front import HttpFront, _StreamWire
 from repro.server.metrics import ServerMetrics
 from repro.server.protocol import (CompleteRequest, EditSceneRequest,
                                    ProtocolError, RegisterSceneRequest,
@@ -58,21 +62,6 @@ from repro.server.protocol import (CompleteRequest, EditSceneRequest,
 from repro.engine.cache import LRUCache
 from repro.server.registry import (RegisteredScene, SceneRegistry,
                                    build_scene, scene_id_for)
-
-#: Largest accepted request body (a scene upload is a few KB; 8 MiB is
-#: already absurdly generous).
-MAX_BODY_BYTES = 8 * 1024 * 1024
-
-#: Most header lines accepted per request (clients send a handful).
-MAX_HEADER_LINES = 100
-
-_REASONS = {
-    200: "OK", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 413: "Payload Too Large",
-    422: "Unprocessable Entity", 429: "Too Many Requests",
-    500: "Internal Server Error", 504: "Gateway Timeout",
-}
-
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -148,71 +137,6 @@ class ServerConfig:
     project_weights_path: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class _HttpRequest:
-    method: str
-    path: str
-    headers: dict
-    body: bytes
-
-    @property
-    def keep_alive(self) -> bool:
-        return (self.headers.get("connection", "keep-alive").lower()
-                != "close")
-
-
-class _HttpError(Exception):
-    """A request we can't parse but can still answer over HTTP."""
-
-    def __init__(self, status: int, message: str):
-        self.status = status
-        super().__init__(message)
-
-
-async def read_http_request(reader: asyncio.StreamReader
-                            ) -> Optional[_HttpRequest]:
-    """Parse one HTTP/1.1 request off *reader*, or ``None`` at EOF.
-
-    Module-level (rather than a server method) because the sharded router
-    speaks the same protocol on its front side — one parser, zero drift.
-    Raises :class:`_HttpError` for requests that are malformed but still
-    answerable over HTTP.
-    """
-    line = await reader.readline()
-    if not line:
-        return None
-    parts = line.decode("latin-1").strip().split()
-    if len(parts) != 3:
-        raise _HttpError(400, f"malformed request line: "
-                              f"{line[:80]!r}")
-    method, target, _version = parts
-    headers: dict = {}
-    header_lines = 0
-    while True:
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        header_lines += 1
-        if header_lines > MAX_HEADER_LINES:
-            raise _HttpError(400, f"more than {MAX_HEADER_LINES} "
-                                  f"header lines")
-        name, _, value = raw.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    try:
-        length = int(headers.get("content-length", "0") or "0")
-    except ValueError:
-        raise _HttpError(400, "non-numeric Content-Length")
-    if length < 0:
-        raise _HttpError(400, f"negative Content-Length {length}")
-    if length > MAX_BODY_BYTES:
-        raise _HttpError(413, f"request body of {length} bytes exceeds "
-                              f"the {MAX_BODY_BYTES}-byte limit")
-    body = await reader.readexactly(length) if length else b""
-    path = target.split("?", 1)[0]
-    return _HttpRequest(method=method, path=path, headers=headers,
-                        body=body)
-
-
 def _run_synthesis(prepared: PreparedScene, goal: Type, policy, config,
                    n: Optional[int], on_snippet=None) -> SynthesisResult:
     """The executor entry point: one pure pipeline run.
@@ -257,88 +181,6 @@ def _apply_edit(engine: CompletionEngine, scene: RegisteredScene,
                              prepared=prepared,
                              declarations=len(prepared.base_environment))
     return edited, text, outcome
-
-
-def _stream_wire(request: _HttpRequest,
-                 writer: asyncio.StreamWriter) -> Optional["_StreamWire"]:
-    """The chunk wire of a streamed complete request, or ``None``.
-
-    The byte sniff keeps the hot batch path free of a second JSON decode;
-    a streamed body decodes here and again in dispatch, which is cheap
-    next to serving it.  Undecodable bodies fall through to the
-    normal dispatch path, which reports the error with a proper HTTP
-    status.  Shared with the router, whose front side must stream on
-    exactly the same requests.
-    """
-    if (request.method, request.path) != ("POST", "/v1/complete"):
-        return None
-    if b'"stream"' not in request.body:
-        return None
-    try:
-        payload = protocol.decode_body(request.body)
-    except ProtocolError:
-        return None
-    if not isinstance(payload, dict) or payload.get("stream") is not True:
-        return None
-    return _StreamWire(writer)
-
-
-class _StreamWire:
-    """The NDJSON chunk writer of one streamed response.
-
-    The response head goes out with the first chunk, so until then a
-    failed request still answers with an ordinary HTTP error; after it,
-    with a terminal ``error`` chunk.  A vanished reader must not abort
-    synthesis — the result still goes into the cache and coalesced
-    waiters still get it — so a write failure flips ``broken`` and later
-    chunks are silently dropped.
-    """
-
-    #: No Content-Length: the body is an NDJSON sequence of unknown
-    #: length, framed by connection close (HTTP/1.1 EOF framing), which
-    #: is why a streamed response always ends its connection.
-    HEAD = (f"HTTP/1.1 200 OK\r\n"
-            f"Content-Type: {protocol.STREAM_CONTENT_TYPE}\r\n"
-            f"Connection: close\r\n"
-            f"\r\n").encode("latin-1")
-
-    def __init__(self, writer: asyncio.StreamWriter):
-        self._writer = writer
-        self.broken = False
-        self.chunks = 0
-
-    def write(self, chunk: dict) -> None:
-        """Queue one chunk (the head rides with the first) unawaited."""
-        if self.broken or self._writer.is_closing():
-            self.broken = True
-            return
-        data = protocol.encode_stream_chunk(chunk)
-        self._writer.write(data if self.chunks else self.HEAD + data)
-        self.chunks += 1
-
-    async def send(self, chunk: dict) -> None:
-        self.write(chunk)
-        await self._drain()
-
-    async def finish(self, status: int, payload: dict) -> None:
-        """End the stream: *payload* is the done chunk's completion on
-        200, else an error envelope."""
-        if status == 200:
-            self.write(protocol.stream_done_chunk(payload))
-        elif self.chunks:
-            error = payload["error"]
-            self.write(protocol.stream_error_chunk(error["code"],
-                                                   error["message"]))
-        elif not self.broken:
-            self._writer.write(_http_response(status, payload,
-                                              keep_alive=False))
-        await self._drain()
-
-    async def _drain(self) -> None:
-        try:
-            await self._writer.drain()
-        except (ConnectionError, OSError):
-            self.broken = True
 
 
 @dataclass
@@ -398,11 +240,15 @@ class AsyncCompletionServer:
         #: text digest -> scene id: lets repeated inline-scene completes
         #: skip the parse/prepare path (and its lock) entirely.
         self._inline_ids = LRUCache(max_entries=256)
-        self._server: Optional[asyncio.base_events.Server] = None
-        #: Live accepted connections, severed on close() — a closed
-        #: server must look *gone* (keep-alive sockets included), the
-        #: way a killed process does, not just stop listening.
-        self._conn_writers: set[asyncio.StreamWriter] = set()
+        self.front = HttpFront({
+            ("GET", "/healthz"): self._healthz_payload,
+            ("GET", "/v1/stats"): self._stats_payload,
+            ("POST", "/v1/register-scene"): self._handle_register,
+            ("POST", "/v1/release-scene"): self._handle_release,
+            ("POST", "/v1/edit-scene"): self._handle_edit,
+        }, self._complete_one, read_timeout=self.config.read_timeout,
+            requests=self.metrics.requests, errors=self.metrics.errors,
+            on_stream=self.metrics.record_stream)
         self.host = self.config.host
         self.port = self.config.port
         #: Snapshot persistence state (event-loop-only, like the caches):
@@ -432,24 +278,14 @@ class AsyncCompletionServer:
             # loaded above win over any riding in the snapshot.
             self.metrics.snapshot_restored = self.engine.restore_results(
                 self.config.snapshot_path)
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.config.host,
-            port=self.config.port)
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
+        self.host, self.port = await self.front.start(self.config.host,
+                                                      self.config.port)
 
     async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
+        await self.front.serve_forever()
 
     async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for writer in list(self._conn_writers):
-            writer.close()                  # sever idle keep-alive sockets
+        await self.front.close()
         if self.config.snapshot_path is not None:
             # Drain any in-flight executor save first: cancel_futures
             # below cannot stop an already-running write, and a stale
@@ -600,119 +436,6 @@ class AsyncCompletionServer:
         except RuntimeError:
             pass                            # executor already shut down
 
-    # -- connection handling -------------------------------------------------
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self._conn_writers.add(writer)
-        try:
-            while True:
-                try:
-                    request = await asyncio.wait_for(
-                        self._read_request(reader),
-                        self.config.read_timeout)
-                except asyncio.TimeoutError:
-                    break                   # idle or half-sent: reclaim
-                except _HttpError as error:
-                    # Still answer over HTTP (then close): a diagnosable
-                    # 400/413 beats a bare connection reset.
-                    self.metrics.record_error("bad_request")
-                    writer.write(_http_response(
-                        error.status,
-                        protocol.error_payload("bad_request", str(error)),
-                        keep_alive=False))
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                wire = _stream_wire(request, writer)
-                status, payload = await self._dispatch(request, wire)
-                if wire is not None:
-                    await wire.finish(status, payload)
-                    if wire.chunks:
-                        self.metrics.streams += 1
-                    self.metrics.stream_chunks += wire.chunks
-                    break               # EOF-framed body: connection is done
-                writer.write(_http_response(status, payload,
-                                            request.keep_alive))
-                await writer.drain()
-                if not request.keep_alive:
-                    break
-        except (asyncio.IncompleteReadError, ConnectionError, ValueError):
-            pass                            # torn connection
-        finally:
-            self._conn_writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass                        # teardown race during close()
-
-    async def _read_request(self,
-                            reader: asyncio.StreamReader
-                            ) -> Optional[_HttpRequest]:
-        return await read_http_request(reader)
-
-    # -- routing -------------------------------------------------------------
-
-    #: The served surface; anything else is counted under one bucket so a
-    #: path-scanning client cannot grow the metrics counter without bound.
-    KNOWN_PATHS = ("/healthz", "/v1/stats", "/v1/register-scene",
-                   "/v1/complete", "/v1/complete-batch",
-                   "/v1/release-scene", "/v1/edit-scene")
-
-    async def _dispatch(self, request: _HttpRequest,
-                        wire: Optional[_StreamWire] = None
-                        ) -> tuple[int, dict]:
-        route = (request.method, request.path)
-        # Count only the served surface (path AND method): both tokens are
-        # client-chosen, so anything else buckets under "other" to keep
-        # the counter bounded.
-        if request.path in self.KNOWN_PATHS and request.method in ("GET",
-                                                                   "POST"):
-            self.metrics.requests[f"{request.method} {request.path}"] += 1
-        else:
-            self.metrics.requests["other"] += 1
-        try:
-            if route == ("GET", "/healthz"):
-                return 200, self._healthz_payload()
-            if route == ("GET", "/v1/stats"):
-                return 200, self._stats_payload()
-            if route == ("POST", "/v1/register-scene"):
-                return 200, await self._handle_register(
-                    protocol.decode_body(request.body))
-            if route == ("POST", "/v1/complete"):
-                return 200, await self._complete_one(
-                    CompleteRequest.from_payload(
-                        protocol.decode_body(request.body)), wire)
-            if route == ("POST", "/v1/complete-batch"):
-                return 200, await self._handle_batch(
-                    protocol.decode_body(request.body))
-            if route == ("POST", "/v1/release-scene"):
-                return 200, self._handle_release(
-                    protocol.decode_body(request.body))
-            if route == ("POST", "/v1/edit-scene"):
-                return 200, await self._handle_edit(
-                    protocol.decode_body(request.body))
-            if request.path in self.KNOWN_PATHS:
-                self.metrics.record_error("bad_request")
-                return 405, protocol.error_payload(
-                    "bad_request",
-                    f"method {request.method} not allowed on {request.path}")
-            raise ProtocolError(f"unknown path {request.path!r}",
-                                code="not_found")
-        except ProtocolError as error:
-            self.metrics.record_error(error.code)
-            return error.status, protocol.error_payload(error.code,
-                                                        str(error))
-        except ReproError as error:
-            self.metrics.record_error("bad_request")
-            return 400, protocol.error_payload("bad_request", str(error))
-        except Exception as error:          # noqa: BLE001 — serving boundary
-            self.metrics.record_error("internal")
-            return 500, protocol.error_payload(
-                "internal", f"{type(error).__name__}: {error}")
-
     # -- endpoint: register-scene -------------------------------------------
 
     async def register_scene_text(self, text: str,
@@ -837,22 +560,6 @@ class AsyncCompletionServer:
         )
 
     # -- endpoint: complete --------------------------------------------------
-
-    async def _handle_batch(self, payload) -> dict:
-        requests = protocol.parse_batch_payload(payload)
-
-        async def _serve(request: CompleteRequest) -> dict:
-            try:
-                return await self._complete_one(request)
-            except ProtocolError as error:
-                self.metrics.record_error(error.code)
-                return protocol.error_payload(error.code, str(error))
-            except ReproError as error:
-                self.metrics.record_error("bad_request")
-                return protocol.error_payload("bad_request", str(error))
-
-        results = await asyncio.gather(*(_serve(r) for r in requests))
-        return protocol.ok_payload(results=list(results))
 
     async def _resolve_completion(self, request: CompleteRequest
                                   ) -> _ResolvedCompletion:
@@ -1120,13 +827,3 @@ class AsyncCompletionServer:
             },
         )
 
-
-def _http_response(status: int, payload: dict, keep_alive: bool) -> bytes:
-    body = protocol.encode_body(payload)
-    connection = "keep-alive" if keep_alive else "close"
-    head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {connection}\r\n"
-            f"\r\n")
-    return head.encode("latin-1") + body

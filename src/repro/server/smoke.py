@@ -48,6 +48,10 @@ its last-known-good cache with ``degraded: true`` — an honest stale
 answer, not a 5xx — then recovers to full-fidelity answers once the
 owners respawn.
 
+Every mode ends by checking shutdown: with one idle keep-alive
+connection open to the front, SIGTERM must end the process within 10 s.
+A front that needs SIGKILL fails the smoke (its backends are killed too).
+
 ``--report PATH`` writes a JSON artifact (mode, per-step report lines,
 pass/fail) — written on failure too, so CI can always upload it.
 """
@@ -56,6 +60,8 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
+import http.client
 import json
 import os
 import signal
@@ -81,6 +87,33 @@ def _spawn_server(extra_args: Sequence[str] = (),
     spawn protocol (PYTHONPATH injection, listen-line scan, pipe drain).
     """
     return spawn_cli_server(command, extra_args, label=f"smoke-{command}")
+
+
+def _stop(process: subprocess.Popen, host: str, port: int) -> Optional[str]:
+    """SIGTERM the front while an idle keep-alive client holds a
+    connection to it; returns the failure if it is still running 10 s
+    later, after SIGKILLing it and the backends its ``/healthz`` lists."""
+    pids = [process.pid]
+    idle = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        idle.request("GET", "/healthz")
+        health = json.loads(idle.getresponse().read())
+        pids += [backend["pid"] for backend in health.get("backends", [])
+                 if backend.get("pid")]
+    except (OSError, http.client.HTTPException, ValueError):
+        pass                                # the front is already gone
+    process.terminate()
+    try:
+        process.wait(timeout=10)
+        return None
+    except subprocess.TimeoutExpired:
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        process.wait()
+        return "still running 10 s after SIGTERM with an idle client"
+    finally:
+        idle.close()
 
 
 async def _await_recovery(client: AsyncCompletionClient, *,
@@ -682,12 +715,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         failure = f"{type(error).__name__}: {error}"
         raise
     finally:
-        process.terminate()
-        try:
-            process.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            process.kill()
-            process.wait()
+        stalled = _stop(process, host, port)
+        failure = "; ".join(filter(None, (failure, stalled))) or None
         if args.report:
             artifact = {
                 "mode": front,
@@ -701,6 +730,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 json.dumps(artifact, indent=2) + "\n", encoding="utf-8")
     for line in report:
         print(f"smoke: {line}")
+    if stalled:
+        print(f"smoke: FAILED shutdown: {stalled}", file=sys.stderr)
+        return 1
     print(f"smoke: OK ({len(scene_paths)} scenes via {front})")
     return 0
 

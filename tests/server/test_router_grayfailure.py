@@ -466,10 +466,10 @@ class TestHedgingBehaviour:
                 # primary; it is not held open until the primary answers.
                 slow = backends[primary]
                 for _ in range(100):
-                    if any(map(_peer_closed, slow._conn_writers)):
+                    if any(map(_peer_closed, slow.front._conn_writers)):
                         break
                     await asyncio.sleep(0.01)
-                assert any(map(_peer_closed, slow._conn_writers))
+                assert any(map(_peer_closed, slow.front._conn_writers))
 
         asyncio.run(main())
 

@@ -17,6 +17,7 @@ from repro.core.synthesizer import SynthesisResult
 from repro.server.client import (AsyncCompletionClient, ClientConnectionError,
                                  OverloadedError, SceneNotFoundError,
                                  ServerError)
+from repro.server.router import CompletionRouter, RouterConfig
 from repro.server.server import AsyncCompletionServer, ServerConfig
 
 SCENE = """
@@ -45,6 +46,19 @@ async def running_server(**config_overrides):
     finally:
         await client.close()
         await server.close()
+
+
+@contextlib.asynccontextmanager
+async def server_and_router():
+    """A server and a router attached to it: both HTTP fronts, started."""
+    async with running_server() as (server, _client):
+        router = CompletionRouter(RouterConfig(
+            port=0, attach=(f"{server.host}:{server.port}",)))
+        await router.start()
+        try:
+            yield {"server": server, "router": router}
+        finally:
+            await router.close()
 
 
 class TestServing:
@@ -700,85 +714,98 @@ class TestClientErrorPaths:
 
         asyncio.run(main())
 
+    # Each wire test below runs against both fronts: the server and a
+    # router attached to it.
+
     def test_unknown_path_and_wrong_method(self):
         async def main():
-            async with running_server() as (server, client):
-                with pytest.raises(ServerError) as excinfo:
-                    await client._request("GET", "/v1/nope")
-                assert excinfo.value.code == "not_found"
-                with pytest.raises(ServerError) as excinfo:
-                    await client._request("GET", "/v1/complete")
-                assert excinfo.value.code == "bad_request"
+            async with server_and_router() as fronts:
+                for front in fronts.values():
+                    async with AsyncCompletionClient(front.host,
+                                                     front.port) as client:
+                        with pytest.raises(ServerError) as excinfo:
+                            await client._request("GET", "/v1/nope")
+                        assert excinfo.value.code == "not_found"
+                        with pytest.raises(ServerError) as excinfo:
+                            await client._request("GET", "/v1/complete")
+                        assert excinfo.value.code == "bad_request"
 
         asyncio.run(main())
 
     def test_unknown_paths_share_one_metrics_bucket(self):
         async def main():
-            async with running_server() as (server, client):
-                for index in range(5):
-                    with pytest.raises(ServerError):
-                        await client._request("GET", f"/scan/{index}")
-                requests = (await client.stats())["server"]["requests"]
-                assert requests["other"] == 5
-                assert not any(key.startswith("GET /scan") for key in
-                               requests)
+            async with server_and_router() as fronts:
+                for section, front in fronts.items():
+                    async with AsyncCompletionClient(front.host,
+                                                     front.port) as client:
+                        for index in range(5):
+                            with pytest.raises(ServerError):
+                                await client._request("GET", f"/scan/{index}")
+                        requests = (await client.stats())[section]["requests"]
+                        assert requests["other"] == 5
+                        assert not any(key.startswith("GET /scan") for key in
+                                       requests)
 
         asyncio.run(main())
 
     def test_malformed_json_body_is_bad_request(self):
         async def main():
-            async with running_server() as (server, client):
-                reader, writer = await asyncio.open_connection(server.host,
-                                                               server.port)
-                body = b"{not json"
-                writer.write(
-                    b"POST /v1/complete HTTP/1.1\r\n"
-                    b"Content-Length: " + str(len(body)).encode() + b"\r\n"
-                    b"\r\n" + body)
-                await writer.drain()
-                status_line = await reader.readline()
-                assert b"400" in status_line
-                writer.close()
+            async with server_and_router() as fronts:
+                for front in fronts.values():
+                    reader, writer = await asyncio.open_connection(front.host,
+                                                                   front.port)
+                    body = b"{not json"
+                    writer.write(
+                        b"POST /v1/complete HTTP/1.1\r\n"
+                        b"Content-Length: " + str(len(body)).encode() +
+                        b"\r\n\r\n" + body)
+                    await writer.drain()
+                    status_line = await reader.readline()
+                    assert b"400" in status_line
+                    writer.close()
 
         asyncio.run(main())
 
     def test_oversized_body_gets_413_not_a_reset(self):
         async def main():
-            async with running_server() as (server, client):
-                reader, writer = await asyncio.open_connection(server.host,
-                                                               server.port)
-                writer.write(b"POST /v1/complete HTTP/1.1\r\n"
-                             b"Content-Length: 999999999\r\n\r\n")
-                await writer.drain()
-                status_line = await reader.readline()
-                assert b"413" in status_line
-                writer.close()
+            async with server_and_router() as fronts:
+                for front in fronts.values():
+                    reader, writer = await asyncio.open_connection(front.host,
+                                                                   front.port)
+                    writer.write(b"POST /v1/complete HTTP/1.1\r\n"
+                                 b"Content-Length: 999999999\r\n\r\n")
+                    await writer.drain()
+                    status_line = await reader.readline()
+                    assert b"413" in status_line
+                    writer.close()
 
         asyncio.run(main())
 
     def test_garbled_request_line_gets_400(self):
         async def main():
-            async with running_server() as (server, client):
-                reader, writer = await asyncio.open_connection(server.host,
-                                                               server.port)
-                writer.write(b"NONSENSE\r\n\r\n")
-                await writer.drain()
-                status_line = await reader.readline()
-                assert b"400" in status_line
-                writer.close()
+            async with server_and_router() as fronts:
+                for front in fronts.values():
+                    reader, writer = await asyncio.open_connection(front.host,
+                                                                   front.port)
+                    writer.write(b"NONSENSE\r\n\r\n")
+                    await writer.drain()
+                    status_line = await reader.readline()
+                    assert b"400" in status_line
+                    writer.close()
 
         asyncio.run(main())
 
     def test_wrong_method_on_known_path_is_405(self):
         async def main():
-            async with running_server() as (server, client):
-                reader, writer = await asyncio.open_connection(server.host,
-                                                               server.port)
-                writer.write(b"GET /v1/complete HTTP/1.1\r\n\r\n")
-                await writer.drain()
-                status_line = await reader.readline()
-                assert b"405" in status_line
-                writer.close()
+            async with server_and_router() as fronts:
+                for front in fronts.values():
+                    reader, writer = await asyncio.open_connection(front.host,
+                                                                   front.port)
+                    writer.write(b"GET /v1/complete HTTP/1.1\r\n\r\n")
+                    await writer.drain()
+                    status_line = await reader.readline()
+                    assert b"405" in status_line
+                    writer.close()
 
         asyncio.run(main())
 
