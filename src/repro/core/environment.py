@@ -276,6 +276,9 @@ class Environment:
         building a list are consumed even though they never outlive it).
         Pattern slices compare pointer-fast on a warm scene arena because
         the environment frozensets inside patterns are shared instances.
+        Entries survive scene edits: a delta that keeps sigma(Gamma_o)
+        hands the edited environment every entry whose slice does not
+        touch a dirty sigma image (see :meth:`adopt_prepared_state`).
         """
         memo = self._recon_memos.get(policy)
         if memo is None:
@@ -324,11 +327,11 @@ class Environment:
 
     def adopt_prepared_state(self, donor: "Environment",
                              dirty_stypes: Iterable[SuccinctType]) -> None:
-        """Inherit *donor*'s warm prover/weight state after a declaration
-        delta (the incremental-scene re-prepare path).
+        """Inherit *donor*'s warm prover, weight and reconstruction state
+        after a declaration delta (the incremental-scene re-prepare path).
 
         ``dirty_stypes`` must be the sigma images of every declaration the
-        delta added or removed.  Three pieces of state transfer, each with
+        delta added or removed.  Five pieces of state transfer, each with
         an exactness argument:
 
         * **Arena.**  The arena is content-addressed (a cache, never a
@@ -337,6 +340,12 @@ class Environment:
           root is interned with the donor's root as ``parent`` when it is
           a superset, so only the added members are merged into the MATCH
           index instead of re-sorting all of sigma(Gamma_o).
+        * **sigma(Gamma_o) itself.**  This environment's succinct
+          environment becomes the arena's interned instance.  Patterns
+          carry that instance as their ``env``, and reconstruction looks
+          up every hole's pattern slice by ``sigma(Gamma_o)``; sharing it
+          keeps those dict probes identity hits instead of element-by-
+          element comparisons of two equal sets of thousands of members.
         * **Type-weight memos.**  ``w(t, Gamma_o)`` is the minimum
           declaration weight over ``select(t)``, and ``select(t)`` only
           sees declarations whose sigma image *is* ``t`` — so exactly the
@@ -345,11 +354,35 @@ class Environment:
           (kind, frequency, policy); entries transfer for declaration
           objects this environment still holds.  Donor-only ids are
           dropped (their objects may be freed and their ids reused).
+        * **Reconstruction memos**, only when sigma(Gamma_o) is unchanged
+          (a changed one changes every root pattern's ``env``, so no
+          candidate-list key could hit, and every pattern-environment
+          union changes).  A root-scope candidate list is a pure function
+          of its key ``(hole simple-type id, pattern slice)``, of
+          ``select(p.succinct_type())`` for each pattern ``p`` in the
+          slice, and of declaration weights, which are pure in the
+          declaration and the policy.  A delta changes ``select`` only at
+          the dirty set, so the candidate-list memo transfers minus
+          exactly the entries whose slice holds a pattern with a dirty
+          image.  A removed declaration's candidates came from a pattern
+          with that declaration's own image, which is dirty, so they are
+          dropped and cannot come back.  Every pattern of a slice has the
+          hole's result name, so only slices whose result is the result
+          of a dirty image are scanned.  A hit still draws
+          ``names_needed`` fresh names, keeping the name supply in
+          lockstep as on any warm hit; a cached binder-headed candidate's
+          own declaration name is never rendered (the head is the
+          realized binder's fresh name).  Pattern-environment unions are
+          pure in sigma(Gamma_o) and the binder sigma set, so that memo
+          transfers whole.
 
-        The reconstruction memos (candidate lists, pattern-environment
-        unions) are deliberately *not* transplanted: candidate lists embed
-        declaration references, and a list built before a removal could
-        resurrect a deleted declaration — they re-warm per query instead.
+        Each donor memo is read through one ``dict.copy()`` snapshot: a
+        synthesis on the donor scene may be inserting into it from another
+        thread, and iterating the live dict could raise "dictionary changed
+        size during iteration".  ``copy()`` is one C call under the GIL
+        and keeps every entry's stored hash, so dropping the few dirty
+        candidate-list keys from the copy is cheaper than a comprehension
+        that re-hashes every pattern slice.
         """
         dirty = frozenset(dirty_stypes)
         arena = donor._arena
@@ -357,18 +390,32 @@ class Environment:
             old_root = arena.intern(donor.succinct_environment())
             new_root = self.succinct_environment()
             if new_root >= arena.members(old_root):
-                arena.intern(new_root, parent=old_root)
+                new_id = arena.intern(new_root, parent=old_root)
             else:
-                arena.intern(new_root)
+                new_id = arena.intern(new_root)
+            self._succinct_env = arena.members(new_id)
             self._arena = arena
+            if new_id == old_root:
+                dirty_results = {stype.result for stype in dirty}
+                for policy, memo in list(donor._recon_memos.items()):
+                    kept = memo.copy()
+                    stale = [key for key in kept
+                             if key[1] and key[1][0].result in dirty_results
+                             and any(pattern.succinct_type() in dirty
+                                     for pattern in key[1])]
+                    for key in stale:
+                        del kept[key]
+                    self._recon_memos[policy] = kept
+                self._pattern_env_memo = donor._pattern_env_memo.copy()
         live_ids = {id(decl) for decl in self.declarations()}
-        for policy, memo in donor._weight_memos.items():
-            kept = {stype: weight for stype, weight in memo.items()
+        for policy, memo in list(donor._weight_memos.items()):
+            kept = {stype: weight for stype, weight in memo.copy().items()
                     if stype not in dirty}
             if kept:
                 self._weight_memos.setdefault(policy, {}).update(kept)
-        for policy, memo in donor._decl_weight_memos.items():
-            kept = {decl_id: weight for decl_id, weight in memo.items()
+        for policy, memo in list(donor._decl_weight_memos.items()):
+            kept = {decl_id: weight
+                    for decl_id, weight in memo.copy().items()
                     if decl_id in live_ids}
             if kept:
                 self._decl_weight_memos.setdefault(policy, {}).update(kept)

@@ -16,13 +16,27 @@ where it must be:
   delta invalidates exactly the queries whose environment content
   changed, and an edit script that returns to an earlier state re-hits
   that state's warm cache entries;
-* the donor scene's :class:`~repro.core.space.EnvArena` is shared and
-  the new root environment is interned with the old root as parent, so
-  the MATCH index merges only the delta instead of re-sorting thousands
-  of members (see
-  :meth:`~repro.core.environment.Environment.adopt_prepared_state`);
-* per-policy weight memos transfer minus exactly the sigma images of
-  the touched declarations.
+* everything else an edit hands over is warm state of the donor scene,
+  transferred by
+  :meth:`~repro.core.environment.Environment.adopt_prepared_state`,
+  which carries each piece's exactness argument:
+
+  - the :class:`~repro.core.space.EnvArena`, shared whole; the new root
+    environment is interned with the old root as parent, so the MATCH
+    index merges only the delta instead of re-sorting thousands of
+    members;
+  - sigma(Gamma_o) as the arena's interned instance, so reconstruction's
+    pattern-slice lookups stay identity hits;
+  - the per-policy type-weight memos, minus exactly the sigma images of
+    the touched declarations (the dirty set);
+  - the per-policy declaration-weight memos, for the declaration objects
+    the edited scene still holds;
+  - when sigma(Gamma_o) is unchanged, reconstruction's root-scope
+    candidate lists, minus exactly those whose pattern slice holds a
+    dirty image, and its pattern-environment unions, whole.
+
+  So the completion right after an edit rebuilds only the candidate
+  lists the edit could change, and costs about what a warm miss costs.
 """
 
 from __future__ import annotations

@@ -7,6 +7,10 @@ over the same final declaration list, because every cache key and scene
 id downstream hangs off that identity.
 """
 
+import itertools
+import sys
+import threading
+
 import pytest
 
 from repro.core.environment import Environment
@@ -25,6 +29,10 @@ imported java.io.PrintWriter.new : Writer -> PrintWriter \
 goal PrintWriter
 """
 
+#: SCENE plus a String literal: removing ``path`` keeps sigma(Gamma).
+LITERAL_SCENE = SCENE.replace(
+    "goal PrintWriter", 'literal "out.txt" : String\ngoal PrintWriter')
+
 EXTRA_LINE = "local label : String"
 READER_LINE = ("imported java.io.FileReader.new : String -> FileReader "
                "[freq=74] [style=constructor] [display=FileReader]")
@@ -35,6 +43,18 @@ def _prepared(engine=None, text=SCENE):
     loaded = load_environment_text(text)
     return engine, engine.prepare(loaded.environment, loaded.subtypes,
                                   goal=loaded.goal, name="scene-under-edit")
+
+
+def _fresh_ranking(prepared, n):
+    """The ranking of a fresh engine over *prepared*'s final content."""
+    engine = CompletionEngine()
+    fresh = engine.prepare(Environment(tuple(prepared.base_environment)),
+                           prepared.subtypes, goal=prepared.goal)
+    return _ranking(engine.complete(fresh, fresh.goal, n=n))
+
+
+def _ranking(served):
+    return [(s.rank, s.code, s.weight) for s in served.snippets]
 
 
 class TestDeltaOp:
@@ -162,6 +182,53 @@ class TestApplySceneDelta:
             for stype, weight in memo.items():
                 assert donor_memo.get(stype) == weight
 
+    def test_reconstruction_memos_transplant_except_dirty_slices(self):
+        engine, prepared = _prepared()
+        engine.complete(prepared, prepared.goal, n=3)
+        donor = prepared.environment
+        ((policy, donor_memo),) = donor._recon_memos.items()
+        dirty = DeltaOp.add(EXTRA_LINE).declaration.succinct_type
+        dropped = {key for key in donor_memo
+                   if any(pattern.succinct_type() == dirty
+                          for pattern in key[1])}
+        assert dropped, "the String hole's list should be dirty"
+
+        # String already has a declaration: sigma(Gamma) is unchanged.
+        outcome = apply_scene_delta(engine, prepared, [DeltaOp.add(EXTRA_LINE)])
+        edited = outcome.prepared.environment
+        memo = edited._recon_memos[policy]
+        assert memo == {key: entry for key, entry in donor_memo.items()
+                        if key not in dropped}
+        arena = edited._arena
+        assert arena is donor._arena
+        interned = arena.members(arena.intern(edited.succinct_environment()))
+        assert edited.succinct_environment() is interned
+        kept = set(memo)
+        engine.complete(outcome.prepared, outcome.prepared.goal, n=3)
+        assert set(memo) - kept == dropped
+
+        # FileReader's constructor has a new sigma image: nothing transfers.
+        grown = apply_scene_delta(engine, prepared,
+                                  [DeltaOp.add(READER_LINE)])
+        assert grown.prepared.environment._recon_memos == {}
+        assert grown.prepared.environment.pattern_env_memo() == {}
+
+    def test_removed_declaration_never_resurfaces_from_a_warm_donor(self):
+        """Removing ``path`` keeps sigma(Gamma) (the literal is a String
+        too), so the warm donor's candidate lists transplant — all but the
+        ones that could still name ``path``."""
+        engine, prepared = _prepared(text=LITERAL_SCENE)
+        engine.complete(prepared, prepared.goal, n=5)
+        outcome = apply_scene_delta(engine, prepared,
+                                    [DeltaOp.remove("path")])
+        assert (outcome.prepared.environment.succinct_environment()
+                == prepared.environment.succinct_environment())
+        served = engine.complete(outcome.prepared, outcome.prepared.goal,
+                                 n=5)
+        assert [s.code for s in served.snippets] == [
+            'new PrintWriter(new FileWriter("out.txt"))']
+        assert _ranking(served) == _fresh_ranking(outcome.prepared, n=5)
+
     def test_rankings_match_a_fresh_engine_on_the_edited_content(self):
         engine, prepared = _prepared()
         outcome = apply_scene_delta(engine, prepared, [
@@ -170,10 +237,53 @@ class TestApplySceneDelta:
         ])
         served = engine.complete(outcome.prepared, outcome.prepared.goal,
                                  n=6)
-        fresh_engine = CompletionEngine()
-        fresh = fresh_engine.prepare(
-            Environment(tuple(outcome.prepared.base_environment)),
-            outcome.prepared.subtypes, goal=outcome.prepared.goal)
-        baseline = fresh_engine.complete(fresh, fresh.goal, n=6)
-        assert ([(s.rank, s.code, s.weight) for s in served.snippets]
-                == [(s.rank, s.code, s.weight) for s in baseline.snippets])
+        assert _ranking(served) == _fresh_ranking(outcome.prepared, n=6)
+
+
+def test_edit_snapshots_donor_memos_while_the_scene_is_completed():
+    """The server applies an edit on its executor, beside syntheses on
+    the same scene that insert into the donor's memos; the edit must read
+    them without "dictionary changed size during iteration"."""
+    from repro.bench.suite import BENCHMARKS, build_scene
+
+    engine = CompletionEngine()
+    scene = build_scene(BENCHMARKS[8])  # Table 2 row 9, 3.2k declarations
+    prepared = engine.prepare(scene.environment, scene.subtypes,
+                              goal=scene.goal)
+    engine.complete(prepared)
+    donor = prepared.environment
+    weight_memos = [*donor._weight_memos.values(),
+                    *donor._decl_weight_memos.values()]
+    (recon_memo,) = donor._recon_memos.values()
+    # The candidate-list filter reads the slice, so reuse a real one.
+    real_slice = next(key[1] for key in recon_memo if key[1])
+    stop = threading.Event()
+
+    def insert_fresh_keys():
+        # Negative keys: never a live declaration id or simple-type id.
+        for key in itertools.count(-1, -1):
+            if stop.is_set():
+                return
+            for memo in weight_memos:
+                memo[key] = 1.0
+            recon_memo[(key, real_slice)] = (0, ())
+            donor._pattern_env_memo[frozenset((key,))] = frozenset()
+
+    writer = threading.Thread(target=insert_fresh_keys, daemon=True)
+    failures = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        writer.start()
+        for index in range(40):
+            try:
+                apply_scene_delta(engine, prepared, [
+                    DeltaOp.add(f"local race_{index} : String")])
+            except RuntimeError as exc:
+                failures.append(str(exc))
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert failures == []

@@ -7,7 +7,9 @@ the serialized final text.  Scripts are generated against a simulated
 name table so every op is valid by construction, and deliberately
 include add-then-remove-the-same-declaration churn (the editor's
 keystroke-undo pattern), which must land back on previously prepared
-states and reuse them.
+states and reuse them.  One property completes before every edit, so
+every delta hands a warm donor's reconstruction memos to the edited
+scene.
 """
 
 from pathlib import Path
@@ -56,11 +58,20 @@ ADDABLE = (
 
 ADDABLE_BY_NAME = dict(ADDABLE)
 
+#: BASE_SCENE plus a higher-order local: its parameter hole
+#: ``FileReader -> String`` has argument types, so reconstruction fills it
+#: under a fresh binder through the pattern-environment memo.
+WARM_SCENE = BASE_SCENE.replace(
+    "goal PrintWriter",
+    "local wrap : (FileReader -> String) -> Writer\ngoal PrintWriter")
+
+WARM_NAMES = BASE_NAMES + ("wrap",)
+
 
 @st.composite
-def edit_scripts(draw):
+def edit_scripts(draw, base_names=BASE_NAMES):
     """A multi-batch edit script, valid against the simulated name table."""
-    current = set(BASE_NAMES)
+    current = set(base_names)
     batches = []
     for _ in range(draw(st.integers(1, 4))):
         batch = []
@@ -120,6 +131,25 @@ def test_any_edit_script_matches_a_fresh_build(script):
         seen[outcome.prepared.fingerprint] = outcome.prepared
         prepared = outcome.prepared
     _assert_parity(prepared, engine)
+
+
+@settings(max_examples=30, deadline=None)
+@given(script=edit_scripts(WARM_NAMES))
+def test_warm_donors_match_a_fresh_build_at_every_step(script):
+    """Complete before every edit, then check the edited scene against a
+    fresh build: transplanted candidate lists and pattern-environment
+    unions must rank exactly like cold ones."""
+    engine = CompletionEngine()
+    loaded = load_environment_text(WARM_SCENE)
+    prepared = engine.prepare(loaded.environment, loaded.subtypes,
+                              goal=loaded.goal, name="warm")
+    _assert_parity(prepared, engine)
+    assert prepared.environment.pattern_env_memo(), \
+        "the higher-order hole should have warmed the union memo"
+    for batch in script:
+        prepared = apply_scene_delta(engine, prepared, parse_delta_ops(batch),
+                                     name="warm").prepared
+        _assert_parity(prepared, engine)
 
 
 @settings(max_examples=15, deadline=None)
