@@ -2,8 +2,9 @@
 
 The router's value proposition is process-level parallelism without wire
 changes: each backend is its own interpreter, so cold syntheses on
-different shards run on different cores — the multi-process sibling of
-``test_server_workers.py``'s in-server pool comparison.
+different shards run on different cores.  A ``repro serve`` process runs
+synthesis on one core, so backends are the only way this program uses
+more than one.
 
 This load test builds several distinct scenes (distinct content ⇒
 distinct scene ids ⇒ spread over the ring), drives one identical batch

@@ -29,7 +29,7 @@ Packages:
 * :mod:`repro.bench` — the 50-benchmark suite of Table 2 and its runner;
 * :mod:`repro.engine` — the serving layer: a long-lived
   :class:`~repro.engine.CompletionEngine` with prepared scenes, an LRU
-  result cache and a batched (optionally multi-process) query API.
+  result cache and an in-order batch query API.
 """
 
 from repro.core import (Arrow, BaseType, Binder, Declaration, DeclKind,

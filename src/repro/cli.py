@@ -6,7 +6,7 @@ The subcommands mirror the library's main entry points::
     python -m repro.cli batch SCENE.ins [SCENE2.ins ...] [--goals T1,T2]
     python -m repro.cli edit-session SCENE.ins --script STEPS.json
     python -m repro.cli warm SCENE.ins [--goals T1,T2] [--variants ...]
-    python -m repro.cli serve [--port 8777] [--workers N] [--snapshot F]
+    python -m repro.cli serve [--port 8777] [--snapshot F]
     python -m repro.cli route [--backends N] [--journal F] [--snapshot-dir D]
     python -m repro.cli loadgen [--chaos] [--check BENCH_serve.json]
     python -m repro.cli bench [--rows 9,15,44] [--variants full,no_corpus]
@@ -17,7 +17,7 @@ The subcommands mirror the library's main entry points::
 `repro.lang`), runs the requested algorithm variant and prints the ranked
 suggestions — the closest a terminal gets to the paper's Ctrl+Space.
 ``batch`` serves many goals over many scenes in one invocation through the
-:class:`~repro.engine.CompletionEngine` (optionally on a process pool);
+:class:`~repro.engine.CompletionEngine`, in order, in one process;
 with ``-`` (or ``--stdin``) it instead reads one JSON query per stdin
 line — ``{"scene": "a.ins", "goal": "Reader", "variant": "full", "n": 5}``
 — which is how the load tools pipe workloads in.  ``edit-session``
@@ -30,14 +30,14 @@ router over protocol v2 (``/v1/edit-scene``) instead, and ``--stream``
 consumes completions as NDJSON chunks as the backend emits them.
 ``warm`` pre-populates
 the engine's result cache and reports the cold/warm speedup.  ``serve``
-runs the long-lived asyncio completion server (`repro.server`); with
-``--workers N`` cache-miss syntheses fan out over a process pool for real
-CPU parallelism, and with ``--snapshot PATH`` the result cache persists
-across restarts (restored at startup, re-saved as syntheses land).
-``route`` runs the sharded router (`repro.server.router`): it spawns and
-supervises N backend servers, routes scenes over a consistent hash ring,
-journals every registration for replica warm-up, and aggregates backend
-stats; ``--check-config`` validates the shard map and exits (CI's
+runs the long-lived asyncio completion server (`repro.server`) on one
+core; with ``--snapshot PATH`` the result cache persists across restarts
+(restored at startup, re-saved as syntheses land).  ``route`` runs the
+sharded router (`repro.server.router`), the way to use more cores: it
+spawns and supervises N backend servers (``--backends N``), each its own
+process, routes scenes over a consistent hash ring, journals every
+registration for replica warm-up, and aggregates backend stats;
+``--check-config`` validates the shard map and exits (CI's
 fail-fast dry run).  ``loadgen`` is the trace-driven load/chaos/SLO
 harness (`repro.loadgen`): it generates (or loads) a reproducible
 workload trace, replays it against a spawned or attached topology,
@@ -136,8 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--variant", default="full",
                        choices=("full", "no_corpus", "no_weights"),
                        help="weight-policy variant (default full)")
-    batch.add_argument("--workers", type=int, default=1,
-                       help="process-pool workers (default 1 = sequential)")
     batch.add_argument("--show-weights", action="store_true",
                        help="print each snippet's weight")
 
@@ -181,12 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(default 64)")
     serve.add_argument("--max-scenes", type=int, default=32,
                        help="registered-scene LRU size (default 32)")
-    serve.add_argument("--executor-workers", type=int, default=4,
-                       help="synthesis executor threads (default 4)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="synthesis process-pool workers (default 1 = "
-                            "threads only; N > 1 adds CPU throughput by "
-                            "fanning cache misses over N processes)")
     serve.add_argument("--deadline-ms", type=int, default=None,
                        help="default per-request deadline when the client "
                             "sends none")
@@ -195,9 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "prepared scene into the permanent generation "
                             "and raise the collection thresholds (gen-2 "
                             "pauses are the main warm-latency noise)")
-    serve.add_argument("--gc-thresholds", default=None, metavar="G0[,G1,G2]",
-                       help="collection thresholds applied with --gc-tune "
-                            "(default 50000,25,25)")
     serve.add_argument("--snapshot", default=None, metavar="PATH",
                        help="result-cache snapshot file: restored at "
                             "startup (warm replica start) and re-saved "
@@ -246,9 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(default 64)")
     route.add_argument("--scenes", nargs="*", default=[],
                        help=".ins files to pre-register at startup")
-    route.add_argument("--workers", type=int, default=None,
-                       help="per-backend synthesis process-pool workers "
-                            "(forwarded to each spawned repro serve)")
     route.add_argument("--max-scenes", type=int, default=None,
                        help="per-backend registered-scene LRU size "
                             "(forwarded to each spawned repro serve)")
@@ -519,7 +505,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print("error: no queries (stdin was empty?)", file=sys.stderr)
         return 2
 
-    served = engine.complete_batch(queries, max_workers=args.workers)
+    served = engine.complete_batch(queries)
 
     failures = 0
     for (path, goal), query, outcome in zip(labels, queries, served):
@@ -791,28 +777,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"{MAX_DEADLINE_MS}, got {args.deadline_ms}", file=sys.stderr)
         return 2
     for flag, value in (("--max-pending", args.max_pending),
-                        ("--max-scenes", args.max_scenes),
-                        ("--executor-workers", args.executor_workers),
-                        ("--workers", args.workers)):
+                        ("--max-scenes", args.max_scenes)):
         if value < 1:
             print(f"error: {flag} must be at least 1, got {value}",
                   file=sys.stderr)
             return 2
-    gc_thresholds = ServerConfig.gc_thresholds
-    if args.gc_thresholds is not None:
-        try:
-            parts = [int(part) for part in args.gc_thresholds.split(",")]
-        except ValueError:
-            parts = []
-        if not 1 <= len(parts) <= 3 or any(part < 1 for part in parts):
-            print(f"error: --gc-thresholds expects 1-3 positive integers "
-                  f"(G0[,G1,G2]), got {args.gc_thresholds!r}",
-                  file=sys.stderr)
-            return 2
-        gc_thresholds = tuple(parts + list(gc_thresholds[len(parts):]))
-        if not args.gc_tune:
-            print("warning: --gc-thresholds has no effect without "
-                  "--gc-tune", file=sys.stderr)
     if args.snapshot_interval < 0:
         print(f"error: --snapshot-interval must be >= 0, got "
               f"{args.snapshot_interval}", file=sys.stderr)
@@ -833,11 +802,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServerConfig(host=args.host, port=args.port,
                           max_pending=args.max_pending,
                           max_scenes=args.max_scenes,
-                          executor_workers=args.executor_workers,
-                          workers=args.workers,
                           default_deadline_ms=args.deadline_ms,
                           gc_tune=args.gc_tune,
-                          gc_thresholds=gc_thresholds,
                           snapshot_path=args.snapshot,
                           snapshot_interval=args.snapshot_interval,
                           inject_latency_ms=args.inject_latency_ms,
@@ -891,14 +857,12 @@ def _cmd_route(args: argparse.Namespace) -> int:
     attach = tuple(part.strip() for part in (args.attach or "").split(",")
                    if part.strip())
     backend_args: list[str] = []
-    for flag, value in (("--workers", args.workers),
-                        ("--max-scenes", args.max_scenes)):
-        if value is not None:
-            if value < 1:
-                print(f"error: {flag} must be at least 1, got {value}",
-                      file=sys.stderr)
-                return 2
-            backend_args += [flag, str(value)]
+    if args.max_scenes is not None:
+        if args.max_scenes < 1:
+            print(f"error: --max-scenes must be at least 1, got "
+                  f"{args.max_scenes}", file=sys.stderr)
+            return 2
+        backend_args += ["--max-scenes", str(args.max_scenes)]
     config = RouterConfig(host=args.host, port=args.port,
                           backends=args.backends, attach=attach,
                           journal_path=args.journal,
@@ -1248,9 +1212,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
           f"cache_hits={server.get('cache_hits', 0)} "
           f"coalesced={server.get('coalesced', 0)} "
           f"rejected={server.get('rejected_overload', 0)}")
-    print(f"executor: threads={executor.get('threads')} "
-          f"workers={executor.get('workers')} "
-          f"process_pool={executor.get('process_pool')}")
+    print(f"executor: threads={executor.get('threads')}")
     result_stats = engine.get("result_stats", {})
     print(f"engine: results {engine.get('result_entries')}/"
           f"{engine.get('result_capacity')} "

@@ -460,7 +460,9 @@ class Environment:
         # ids), and the weight memos must not cross either: the
         # declaration-weight memo is keyed by raw id() addresses, which
         # mean nothing — and could silently collide — in another process.
-        # Pool workers rebuild all three lazily.
+        # Processes share results through result-cache snapshots, which
+        # carry no environment; any unpickled copy rebuilds all three
+        # lazily.
         state = dict(self.__dict__)
         state["_arena"] = None
         state["_weight_memos"] = {}

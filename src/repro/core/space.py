@@ -245,8 +245,9 @@ DEFAULT_SIMPLE_TYPE_LIMIT = 1 << 17
 
 #: Attribute the id is cached under on the type instance.  Excluded from
 #: pickling (``BaseType.__getstate__`` / ``Arrow.__getstate__``): ids are
-#: per-process, so a restored cache would be silently wrong — and could
-#: silently collide — in the engine's pool workers.
+#: per-process, so a cache restored from a result-cache snapshot would be
+#: silently wrong — and could silently collide — in the process that
+#: loads it.
 _SIMPLE_TYPE_ID_ATTR = "_simple_type_id"
 
 

@@ -75,7 +75,9 @@ class SuccinctType:
     def __getstate__(self):
         # Never pickle the cached hash: string hashing is per-process
         # randomised, so a restored cache would be silently wrong in the
-        # engine's pool workers.
+        # process that unpickles it.  Result-cache snapshots, the one
+        # payload that crosses processes, carry no succinct types; this
+        # keeps any other pickle safe too.
         state = dict(self.__dict__)
         state.pop("_hash_cache", None)
         return state

@@ -38,7 +38,8 @@ class BaseType:
     def __getstate__(self):
         # Never pickle the cached per-process simple-type id (attached by
         # repro.core.space.simple_type_id): ids are process-local, so a
-        # restored value could silently collide in a pool worker.
+        # value restored from a result-cache snapshot could silently
+        # collide in the process that loads it.
         state = dict(self.__dict__)
         state.pop("_simple_type_id", None)
         return state
@@ -68,8 +69,9 @@ class Arrow:
     def __getstate__(self):
         # Never pickle the cached hash (string hashing is per-process
         # randomised) nor the cached per-process simple-type id (see
-        # repro.core.space.simple_type_id): a restored value would be
-        # silently wrong — or collide — in the engine's pool workers.
+        # repro.core.space.simple_type_id): a value restored from a
+        # result-cache snapshot would be silently wrong — or collide — in
+        # the process that loads it.
         state = dict(self.__dict__)
         state.pop("_hash_cache", None)
         state.pop("_simple_type_id", None)

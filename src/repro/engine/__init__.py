@@ -4,17 +4,17 @@
 amortises it for production-style workloads.  A scene is *prepared* once
 (coercion extension, succinct signature, interning, fingerprinting) and
 then serves many queries, with an LRU result cache and an order-preserving
-batch API that can fan out across processes.  The benchmark runner and the
-CLI both sit on top of this seam, and so should every future scaling layer
-(sharding, async serving, multi-backend).
+batch API.  One synthesis runs on one core; more cores serve more scenes
+through ``repro route`` backends, each its own process over its own
+engine.  The benchmark runner and the CLI both sit on top of this seam,
+and so does the async server behind every router backend.
 """
 
 from repro.engine.cache import CacheStats, LRUCache
 from repro.engine.engine import (VARIANTS, CompletionEngine, EngineQuery,
                                  EngineResult, PreparedScene,
-                                 default_engine_workers, policy_for_variant)
+                                 policy_for_variant)
 from repro.engine.keys import QueryKey, config_key, policy_key, query_key
-from repro.engine.pool import default_worker_count, run_batch
 
 __all__ = [
     "CacheStats",
@@ -26,10 +26,7 @@ __all__ = [
     "QueryKey",
     "VARIANTS",
     "config_key",
-    "default_engine_workers",
-    "default_worker_count",
     "policy_for_variant",
     "policy_key",
     "query_key",
-    "run_batch",
 ]

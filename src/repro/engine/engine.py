@@ -14,8 +14,8 @@ environment, its succinct signature, and the interned succinct types.  A
   result cache keyed by (prepared-environment fingerprint, goal type,
   weight policy, budgets) before running the pipeline;
 * :meth:`~CompletionEngine.complete_batch` serves many queries (across one
-  or many scenes) in input order, deduplicating identical misses and
-  optionally fanning the remainder out over a process pool;
+  or many scenes) in input order, one :meth:`~CompletionEngine.complete`
+  after another, so identical queries compute once and hit thereafter;
 * :meth:`~CompletionEngine.warm` pre-populates the result cache.
 
 Engine-served results are *identical* to direct
@@ -26,6 +26,12 @@ non-empty :class:`~repro.core.ranking.RankingPipeline` re-scores results
 *after* the cache — the cache (and its snapshots) always hold base,
 un-reranked results, so one cached synthesis serves every per-query
 context and the fingerprint-keyed cache never fragments on hints.
+
+One synthesis runs on one core, in the calling thread.  More cores serve
+more traffic through more ``repro route`` backends, each a process with
+its own engine, not through worker processes behind one engine: such a
+worker re-pickles and re-prepares every scene it is sent and never sees
+the warm per-environment memos of the process that prepared it.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ from repro.core.weights import WeightPolicy
 from repro.corpus.mining import ProjectWeightTables
 from repro.engine.cache import CacheStats, LRUCache
 from repro.engine.keys import QueryKey, config_key, policy_key, query_key
-from repro.engine.pool import default_worker_count, run_batch
 
 #: The three Table 2 policy variants, by name.
 VARIANTS = ("no_weights", "no_corpus", "full")
@@ -145,80 +150,6 @@ class EngineResult:
         return self.result.snippets
 
 
-@dataclass(frozen=True)
-class _ResolvedQuery:
-    """One query after default resolution: everything needed to serve it."""
-
-    prepared: PreparedScene
-    goal: Type
-    policy: WeightPolicy
-    config: SynthesisConfig
-    n: Optional[int]
-    key: QueryKey
-
-
-@dataclass(frozen=True)
-class _RemoteQuery:
-    """A picklable query for process-pool workers.
-
-    ``environment`` may be ``None`` when ``fingerprint`` is set: the
-    worker then serves from its per-process scene memo and raises
-    :class:`WorkerSceneUnavailable` on a miss, letting the caller retry
-    with the full environment.  Shipping the reference instead of the
-    scene is what makes pooled serving cheap — a multi-thousand-
-    declaration environment costs tens of milliseconds to pickle per
-    query, the reference costs microseconds.
-    """
-
-    environment: Optional[Environment]
-    subtype_edges: tuple[tuple[str, str], ...]
-    goal: Type
-    policy: WeightPolicy
-    config: SynthesisConfig
-    n: Optional[int]
-    #: Content fingerprint of ``environment``; pass it when known so the
-    #: worker's memo lookup never re-hashes thousands of declarations.
-    fingerprint: Optional[str] = None
-
-
-class WorkerSceneUnavailable(Exception):
-    """A reference-only remote query missed the worker's scene memo.
-
-    Picklable across the pool boundary; the dispatching side retries the
-    same query with the environment attached.
-    """
-
-
-#: Per-process scene memo for pool workers: chunked maps hand several
-#: payloads to the same worker, and re-preparing a multi-thousand-
-#: declaration scene per payload would repay the cost the engine
-#: amortizes.  Keyed like the engine's own scene table; bounded because
-#: workers can outlive one batch.
-_WORKER_SCENES = LRUCache(max_entries=8)
-
-
-def _execute_remote(query: _RemoteQuery) -> SynthesisResult:
-    """Worker entry point: (re)prepare the scene once, run the pipeline."""
-    fingerprint = (query.fingerprint if query.fingerprint is not None
-                   else query.environment.fingerprint())
-    key = (fingerprint, query.subtype_edges)
-    prepared = _WORKER_SCENES.get(key)
-    if prepared is None:
-        if query.environment is None:
-            raise WorkerSceneUnavailable(fingerprint)
-        graph = SubtypeGraph()
-        for subtype, supertype in query.subtype_edges:
-            graph.add_edge(subtype, supertype)
-        extended = environment_with_subtyping(query.environment, graph)
-        prepared = (query.environment, extended, graph)
-        _WORKER_SCENES.put(key, prepared)
-    base, extended, graph = prepared
-    synthesizer = Synthesizer.from_prepared(extended, base, graph,
-                                            policy=query.policy,
-                                            config=query.config)
-    return synthesizer.synthesize(query.goal, n=query.n)
-
-
 class CompletionEngine:
     """A reusable, caching front end over the synthesis pipeline."""
 
@@ -226,13 +157,11 @@ class CompletionEngine:
                  config: Optional[SynthesisConfig] = None,
                  result_entries: int = 512,
                  scene_entries: int = 16,
-                 max_workers: int = 1,
                  ranking: Optional[RankingPipeline] = None):
         self.default_policy = policy or WeightPolicy.standard()
         self.default_config = config or SynthesisConfig.paper_defaults()
         self.results = LRUCache(result_entries)
         self.scenes = LRUCache(scene_entries)
-        self.max_workers = max_workers
         #: The post-cache re-weighting stage.  Defaults to the *empty*
         #: pipeline: a bare engine is byte-identical to the pre-ranking
         #: weight path (bench/CLI/table-2 parity); serving layers opt in
@@ -324,25 +253,6 @@ class CompletionEngine:
             return policy_for_variant(variant)
         return self.default_policy
 
-    def _resolve_query(self, scene: Optional[SceneLike], goal: Optional[Type],
-                       variant: Optional[str], policy: Optional[WeightPolicy],
-                       config: Optional[SynthesisConfig], n: Optional[int],
-                       ) -> "_ResolvedQuery":
-        """Normalise one query to (prepared scene, goal, policy, config, key).
-
-        Shared by :meth:`complete` and :meth:`complete_batch` so the two
-        serving paths can never drift in key construction or defaults.
-        """
-        prepared = self._as_prepared(scene)
-        goal = goal if goal is not None else prepared.goal
-        if goal is None:
-            raise EngineError(
-                f"scene {prepared.name!r} has no goal; pass one explicitly")
-        policy = self._resolve_policy(variant, policy)
-        config = config or self.default_config
-        key = query_key(prepared.fingerprint, goal, policy, config, n)
-        return _ResolvedQuery(prepared, goal, policy, config, n, key)
-
     def complete(self, scene: SceneLike, goal: Optional[Type] = None, *,
                  variant: Optional[str] = None,
                  policy: Optional[WeightPolicy] = None,
@@ -359,16 +269,21 @@ class CompletionEngine:
         re-ranked per context.
         """
         start = time.perf_counter()
-        query = self._resolve_query(scene, goal, variant, policy, config, n)
-        prepared, key = query.prepared, query.key
+        prepared = self._as_prepared(scene)
+        goal = goal if goal is not None else prepared.goal
+        if goal is None:
+            raise EngineError(
+                f"scene {prepared.name!r} has no goal; pass one explicitly")
+        policy = self._resolve_policy(variant, policy)
+        config = config or self.default_config
+        key = query_key(prepared.fingerprint, goal, policy, config, n)
         cached = self.results.get(key)
         if cached is not None:
             served, reranked = self.rerank_result(cached, prepared, context)
             return EngineResult(served, key, True, prepared.name,
                                 time.perf_counter() - start, reranked)
 
-        result = prepared.synthesizer(query.policy, query.config).synthesize(
-            query.goal, n=n)
+        result = prepared.synthesizer(policy, config).synthesize(goal, n=n)
         self.results.put(key, result)
         served, reranked = self.rerank_result(result, prepared, context)
         return EngineResult(served, key, False, prepared.name,
@@ -427,104 +342,19 @@ class CompletionEngine:
 
     def complete_batch(self, queries: Sequence[EngineQuery],
                        scene: Optional[SceneLike] = None,
-                       max_workers: Optional[int] = None,
                        ) -> list[EngineResult]:
-        """Serve many queries, returning results in input order.
+        """Serve many queries in input order, one :meth:`complete` each.
 
-        Cache hits are answered immediately; identical misses are computed
-        once; remaining misses run sequentially or, with ``max_workers > 1``
-        (default: the engine's setting), on a process pool.
-
-        ``engine_seconds`` is per query on hits and sequential misses; on
-        the pooled path the pool's wall-clock time is attributed to every
-        computed result (per-result attribution inside one parallel map is
-        not meaningful).
+        A query without a scene falls back to *scene*.  The result cache
+        computes identical queries once: the first is a miss, every
+        repeat a hit, and the cache stats count exactly that.
         """
-        workers = self.max_workers if max_workers is None else max_workers
-
-        resolved: list[_ResolvedQuery] = []
-        outcomes: list[Optional[EngineResult]] = [None] * len(queries)
-        miss_keys: dict[QueryKey, list[int]] = {}
-        for index, query in enumerate(queries):
-            lookup_start = time.perf_counter()
-            entry = self._resolve_query(
-                query.scene if query.scene is not None else scene,
-                query.goal, query.variant, query.policy, query.config,
-                query.n)
-            resolved.append(entry)
-            cached = self.results.get(entry.key)
-            if cached is not None:
-                outcomes[index] = EngineResult(
-                    cached, entry.key, True, entry.prepared.name,
-                    time.perf_counter() - lookup_start)
-            else:
-                miss_keys.setdefault(entry.key, []).append(index)
-
-        if miss_keys:
-            # One representative query per distinct key.
-            order = [indices[0] for indices in miss_keys.values()]
-            if workers > 1:
-                payloads = [
-                    _RemoteQuery(
-                        environment=resolved[i].prepared.base_environment,
-                        subtype_edges=tuple(
-                            resolved[i].prepared.subtypes.edges()),
-                        goal=resolved[i].goal,
-                        policy=resolved[i].policy,
-                        config=resolved[i].config,
-                        n=resolved[i].n,
-                        fingerprint=resolved[
-                            i].prepared.base_environment.fingerprint(),
-                    )
-                    for i in order
-                ]
-                pool_start = time.perf_counter()
-                computed = run_batch(_execute_remote, payloads,
-                                     max_workers=workers)
-                pool_seconds = time.perf_counter() - pool_start
-                elapsed = [pool_seconds] * len(order)
-            else:
-                computed = []
-                elapsed = []
-                for i in order:
-                    entry = resolved[i]
-                    compute_start = time.perf_counter()
-                    computed.append(
-                        entry.prepared.synthesizer(
-                            entry.policy, entry.config).synthesize(
-                                entry.goal, n=entry.n))
-                    elapsed.append(time.perf_counter() - compute_start)
-            for representative, result, seconds in zip(order, computed,
-                                                       elapsed):
-                key = resolved[representative].key
-                self.results.put(key, result)
-                for index in miss_keys[key]:
-                    duplicate = index != representative
-                    if duplicate:
-                        # Serve duplicates through the cache so the stats
-                        # agree with the per-result ``cache_hit`` flags.
-                        serve_start = time.perf_counter()
-                        result = self.results.get(key)
-                        seconds = time.perf_counter() - serve_start
-                    outcomes[index] = EngineResult(
-                        result, key, duplicate, resolved[index].prepared.name,
-                        seconds)
-
-        if self.ranking:
-            # Post-cache, per-query: duplicates of one cached synthesis can
-            # each carry different context hints.
-            for index, outcome in enumerate(outcomes):
-                if outcome is None:
-                    continue
-                served, reranked = self.rerank_result(
-                    outcome.result, resolved[index].prepared,
-                    queries[index].context)
-                if reranked:
-                    outcomes[index] = dataclasses.replace(
-                        outcome, result=served, reranked=True)
-
-        assert all(outcome is not None for outcome in outcomes)
-        return outcomes  # type: ignore[return-value]
+        return [self.complete(query.scene if query.scene is not None
+                              else scene,
+                              query.goal, variant=query.variant,
+                              policy=query.policy, config=query.config,
+                              n=query.n, context=query.context)
+                for query in queries]
 
     # -- cache management ----------------------------------------------------
 
@@ -752,7 +582,3 @@ class CompletionEngine:
         return (f"CompletionEngine({len(self.scenes)} scenes, "
                 f"{len(self.results)} results, {self.cache_stats.as_text()})")
 
-
-def default_engine_workers() -> int:
-    """Worker count hint for batch CLIs (one per core)."""
-    return default_worker_count()

@@ -155,11 +155,11 @@ class SceneRegistry:
         builds, the loser re-prepared from scratch: a fresh environment
         with its own arena and memo state, now also occupying the engine's
         scene-table slot.  Without reconciliation that duplicate state
-        lives (and is served to pool workers) until eviction — the leak.
-        We restore the winner as the canonical scene-table entry and drop
-        the loser's private state.  Results are purged only in the
-        different-fingerprint case (hand-built scenes), because purging is
-        fingerprint-wide and would nuke the winner's warm entries.
+        lives until eviction — the leak.  We restore the winner as the
+        canonical scene-table entry and drop the loser's private state.
+        Results are purged only in the different-fingerprint case
+        (hand-built scenes), because purging is fingerprint-wide and would
+        nuke the winner's warm entries.
         """
         if loser.prepared is winner.prepared:
             return

@@ -706,7 +706,7 @@ class RouterConfig:
     #: Virtual nodes per backend on the hash ring.
     ring_replicas: int = 64
     #: Extra ``repro serve`` arguments for managed backends
-    #: (e.g. ``("--workers", "2")``).
+    #: (e.g. ``("--max-scenes", "8")``).
     backend_args: tuple = ()
     #: Per-request timeout towards backends.
     request_timeout: float = 120.0

@@ -2,11 +2,12 @@
 
 One event loop, one engine, many editors.  The serving rules:
 
-* **Never block the loop.**  Synthesis and scene preparation are
-  CPU-bound, so they run on a thread executor; the loop only does cache
-  lookups, key construction and byte shuffling.  (Pure-Python synthesis
-  holds the GIL, so threads buy loop *responsiveness*, not CPU
-  parallelism — process-level fan-out stays the engine batch API's job.)
+* **Never block the loop.**  Synthesis, scene preparation and edits are
+  CPU-bound, so they run on one fixed thread executor; the loop only does
+  cache lookups, key construction and byte shuffling.  (Pure-Python
+  synthesis holds the GIL, so threads buy loop *responsiveness*, not CPU
+  parallelism: one server uses one core, and more cores mean more
+  ``repro route`` backends.)
 * **Coalesce identical work.**  Concurrent requests that resolve to the
   same :class:`~repro.engine.keys.QueryKey` share one in-flight synthesis
   (single-flight): the first starts it, the rest ``await`` its future and
@@ -41,7 +42,6 @@ import asyncio
 import hashlib
 import time
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,8 +50,7 @@ from repro.core.synthesizer import SynthesisResult
 from repro.core.types import Type
 from repro.corpus.mining import ProjectWeightTables
 from repro.engine.engine import (CompletionEngine, PreparedScene,
-                                 WorkerSceneUnavailable, _execute_remote,
-                                 _RemoteQuery, policy_for_variant)
+                                 policy_for_variant)
 from repro.engine.keys import query_key
 from repro.server import protocol
 from repro.server.front import HttpFront, _StreamWire
@@ -63,6 +62,20 @@ from repro.engine.cache import LRUCache
 from repro.server.registry import (RegisteredScene, SceneRegistry,
                                    build_scene, scene_id_for)
 
+#: Threads of the one executor that runs synthesis, registration, edits,
+#: type shedding and snapshot writes.  Synthesis holds the GIL, so more
+#: threads add no CPU throughput; several let a short job (a snapshot
+#: write, a type shed) run beside a long synthesis instead of behind it.
+EXECUTOR_THREADS = 4
+
+#: Collection thresholds ``gc_tune`` applies (gen0 allocations, gen1/gen2
+#: promotion counts).  The gen0 threshold is ~70x CPython's default 700:
+#: request handling allocates heavily but almost nothing survives, so
+#: rarer, slightly larger young collections beat frequent tiny ones once
+#: the long-lived data is frozen.
+GC_THRESHOLDS = (50_000, 25, 25)
+
+
 @dataclass(frozen=True)
 class ServerConfig:
     """Knobs for one :class:`AsyncCompletionServer`."""
@@ -71,14 +84,6 @@ class ServerConfig:
     port: int = 8777                       # 0 = ephemeral
     max_pending: int = 64                  # admission-control bound
     max_scenes: int = 32                   # registry LRU size
-    executor_workers: int = 4              # synthesis threads
-    #: Process-pool workers for synthesis.  Threads only keep the event
-    #: loop responsive (pure-Python synthesis holds the GIL); processes
-    #: add real CPU throughput.  1 = in-process threads only; N > 1
-    #: dispatches cache-miss syntheses through the engine's pool worker
-    #: (`repro.engine.engine._execute_remote`), which keeps a per-process
-    #: prepared-scene memo so each worker prepares a scene once.
-    workers: int = 1
     default_deadline_ms: Optional[int] = None
     latency_window: int = 2048
     #: GC tuning for the serving process (``repro serve --gc-tune``).
@@ -87,15 +92,9 @@ class ServerConfig:
     #: every scene registration is followed by ``gc.collect()`` +
     #: ``gc.freeze()`` (moving the scene's objects to the permanent
     #: generation, where no collection ever visits them) and the
-    #: collection thresholds are raised so the steady-state request path
-    #: triggers far fewer collections.
+    #: collection thresholds are raised to :data:`GC_THRESHOLDS` so the
+    #: steady-state request path triggers far fewer collections.
     gc_tune: bool = False
-    #: Thresholds applied when ``gc_tune`` is set (gen0 allocations,
-    #: gen1/gen2 promotion counts).  The gen0 threshold is ~70x CPython's
-    #: default 700: request handling allocates heavily but almost nothing
-    #: survives, so rarer, slightly larger young collections beat frequent
-    #: tiny ones once the long-lived data is frozen.
-    gc_thresholds: tuple = (50_000, 25, 25)
     #: Idle/read timeout per request on a connection: a half-sent request
     #: (or an idle keep-alive socket) releases its handler task and fd
     #: after this many seconds instead of pinning them forever.  The
@@ -143,10 +142,8 @@ def _run_synthesis(prepared: PreparedScene, goal: Type, policy, config,
 
     *on_snippet*, when given, runs on this executor thread with each
     snippet as reconstruction emits it — a live stream's bridge to the
-    loop, which is why a live stream never goes through the process
-    pool: a callback cannot cross a process boundary.  Module-level so
-    tests can monkeypatch it (to count, delay or stub synthesis) without
-    touching the serving logic around it.
+    loop.  Module-level so tests can monkeypatch it (to count, delay or
+    stub synthesis) without touching the serving logic around it.
     """
     return prepared.synthesizer(policy, config).synthesize(
         goal, n=n, on_snippet=on_snippet)
@@ -181,13 +178,6 @@ def _apply_edit(engine: CompletionEngine, scene: RegisteredScene,
                              prepared=prepared,
                              declarations=len(prepared.base_environment))
     return edited, text, outcome
-
-
-@dataclass
-class _ServedCompletion:
-    result: SynthesisResult
-    cache_hit: bool
-    coalesced: bool
 
 
 @dataclass
@@ -231,9 +221,7 @@ class AsyncCompletionServer:
             on_evict=self._scene_evicted, on_release=self._scene_released,
             shed_types_on_release=False)
         self._executor = ThreadPoolExecutor(
-            max_workers=self.config.executor_workers,
-            thread_name_prefix="synthesis")
-        self._pool = self._build_pool()
+            max_workers=EXECUTOR_THREADS, thread_name_prefix="synthesis")
         self._inflight: dict = {}          # QueryKey -> asyncio.Future
         self._inflight_scenes: dict = {}   # text digest -> asyncio.Future
         self._register_lock = asyncio.Lock()
@@ -265,7 +253,7 @@ class AsyncCompletionServer:
     async def start(self) -> None:
         if self.config.gc_tune:
             import gc
-            gc.set_threshold(*self.config.gc_thresholds)
+            gc.set_threshold(*GC_THRESHOLDS)
         if self.config.project_weights_path is not None:
             # Strict: a typo'd --project-weights path should fail the
             # serve command, not silently rank on the global table.
@@ -309,9 +297,6 @@ class AsyncCompletionServer:
                 except Exception:           # noqa: BLE001 — shutdown path
                     pass
         self._executor.shutdown(wait=False, cancel_futures=True)
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
 
     # -- snapshot persistence ------------------------------------------------
 
@@ -373,22 +358,6 @@ class AsyncCompletionServer:
                 self.metrics.record_error("snapshot")
 
         future.add_done_callback(_done)
-
-    def _build_pool(self):
-        """The synthesis process pool, or ``None`` (threads only).
-
-        Pool construction can fail outright in restricted sandboxes (no
-        semaphores, no fork); parallelism is an optimisation, never a
-        requirement, so failure degrades to the thread executor.
-        """
-        if self.config.workers <= 1:
-            return None
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            return ProcessPoolExecutor(max_workers=self.config.workers)
-        except (ImportError, OSError, PermissionError):
-            return None
 
     @staticmethod
     def _gc_settle() -> None:
@@ -616,9 +585,9 @@ class AsyncCompletionServer:
         if self.config.inject_latency_ms:
             await asyncio.sleep(self.config.inject_latency_ms / 1000.0)
         resolved = await self._resolve_completion(request)
+        loop = asyncio.get_running_loop()
         on_snippet = None
         if wire is not None and not self.engine.ranking:
-            loop = asyncio.get_running_loop()
 
             def on_snippet(snippet) -> None:
                 # Runs on the synthesis thread.  call_soon_threadsafe
@@ -627,14 +596,31 @@ class AsyncCompletionServer:
                 loop.call_soon_threadsafe(
                     wire.write, protocol.stream_snippet_chunk(snippet))
 
-        served = await self._serve_key(resolved, request.n,
-                                       request.priority, on_snippet)
+        # Cache -> join in-flight -> admit -> synthesize, in that order.
+        result = self.engine.results.get(resolved.key)
+        cache_hit, coalesced = result is not None, False
+        if not cache_hit:
+
+            async def synthesize() -> SynthesisResult:
+                synthesis_start = time.perf_counter()
+                synthesized = await loop.run_in_executor(
+                    self._executor, _run_synthesis, resolved.prepared,
+                    resolved.goal, resolved.policy, resolved.config,
+                    request.n, on_snippet)
+                self.engine.results.put(resolved.key, synthesized)
+                self.metrics.record_synthesis(
+                    time.perf_counter() - synthesis_start)
+                self._maybe_snapshot()
+                return synthesized
+
+            result, coalesced = await self._single_flight(
+                self._inflight, resolved.key, synthesize, request.priority)
         # Re-ranking runs strictly after cache lookup: the cache (and
         # snapshot) hold base results, so one fingerprint-keyed entry
         # serves every context — a repeat query with different hints is
         # still a cache hit, just re-scored for *its* cursor.
         final, reranked = self.engine.rerank_result(
-            served.result, resolved.prepared, request.context)
+            result, resolved.prepared, request.context)
         if wire is not None and not wire.chunks:
             # Replay the served result (a live leader wrote it already).
             for snippet in final.snippets:
@@ -643,36 +629,14 @@ class AsyncCompletionServer:
         seconds = time.perf_counter() - start
         partial = bool(final.explore_truncated
                        or final.reconstruction_truncated)
-        self.metrics.record_completion(seconds, cache_hit=served.cache_hit,
-                                       coalesced=served.coalesced,
-                                       partial=partial)
+        self.metrics.record_completion(seconds, cache_hit=cache_hit,
+                                       coalesced=coalesced, partial=partial)
         return protocol.completion_payload(
             scene_id=resolved.scene.scene_id, goal=resolved.goal,
             variant=resolved.variant, result=final,
-            cache_hit=served.cache_hit, coalesced=served.coalesced,
+            cache_hit=cache_hit, coalesced=coalesced,
             deadline_ms=resolved.deadline_ms, server_seconds=seconds,
             reranked=reranked)
-
-    async def _serve_key(self, resolved: _ResolvedCompletion,
-                         n: Optional[int], priority: Optional[int],
-                         on_snippet=None) -> _ServedCompletion:
-        """Cache -> join in-flight -> admit -> synthesize, in that order."""
-        cached = self.engine.results.get(resolved.key)
-        if cached is not None:
-            return _ServedCompletion(cached, cache_hit=True, coalesced=False)
-
-        async def synthesize() -> SynthesisResult:
-            synthesis_start = time.perf_counter()
-            result = await self._dispatch_synthesis(resolved, n, on_snippet)
-            self.engine.results.put(resolved.key, result)
-            self.metrics.record_synthesis(
-                time.perf_counter() - synthesis_start)
-            self._maybe_snapshot()
-            return result
-
-        result, coalesced = await self._single_flight(
-            self._inflight, resolved.key, synthesize, priority)
-        return _ServedCompletion(result, cache_hit=False, coalesced=coalesced)
 
     async def _single_flight(self, inflight: dict, key, work,
                              priority: Optional[int] = None) -> tuple:
@@ -707,49 +671,6 @@ class AsyncCompletionServer:
             self.metrics.leave_queue()
             inflight.pop(key, None)
         return value, False
-
-    async def _dispatch_synthesis(self, resolved: _ResolvedCompletion,
-                                  n: Optional[int],
-                                  on_snippet=None) -> SynthesisResult:
-        """One pipeline run: on the process pool when configured and no
-        live emitter rides along, else on the thread executor.
-
-        A broken pool (workers killed by the sandbox mid-flight) downgrades
-        the server to threads permanently rather than failing requests —
-        the work is pure, so rerunning it in-process is always valid.
-        """
-        loop = asyncio.get_running_loop()
-        prepared, goal = resolved.prepared, resolved.goal
-        policy, config = resolved.policy, resolved.config
-        if self._pool is not None and on_snippet is None:
-            base = prepared.base_environment
-            edges = tuple(prepared.subtypes.edges())
-            fingerprint = base.fingerprint()
-            # First try the cheap reference-only payload; a worker whose
-            # scene memo misses answers WorkerSceneUnavailable and we
-            # resend once with the environment attached (teaching that
-            # worker the scene for every later query).
-            slim = _RemoteQuery(environment=None, subtype_edges=edges,
-                                goal=goal, policy=policy, config=config,
-                                n=n, fingerprint=fingerprint)
-            try:
-                try:
-                    return await loop.run_in_executor(
-                        self._pool, _execute_remote, slim)
-                except WorkerSceneUnavailable:
-                    full = _RemoteQuery(environment=base,
-                                        subtype_edges=edges, goal=goal,
-                                        policy=policy, config=config,
-                                        n=n, fingerprint=fingerprint)
-                    return await loop.run_in_executor(
-                        self._pool, _execute_remote, full)
-            except BrokenProcessPool:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
-                self.metrics.record_error("pool_broken")
-        return await loop.run_in_executor(
-            self._executor, _run_synthesis, prepared, goal, policy, config, n,
-            on_snippet)
 
     def _admit_or_reject(self, priority: Optional[int] = None) -> None:
         """Admission control: one gauge (queue depth) bounds all CPU work.
@@ -790,11 +711,7 @@ class AsyncCompletionServer:
         stats = self.engine.cache_stats
         return protocol.ok_payload(
             server=self.metrics.snapshot(),
-            executor={
-                "threads": self.config.executor_workers,
-                "workers": self.config.workers,
-                "process_pool": self._pool is not None,
-            },
+            executor={"threads": EXECUTOR_THREADS},
             engine={
                 "result_entries": len(self.engine.results),
                 "result_capacity": self.engine.results.max_entries,

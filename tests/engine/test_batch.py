@@ -1,11 +1,8 @@
-"""Batch API ordering, deduplication and pool fan-out."""
-
-import math
+"""Batch API ordering and deduplication."""
 
 import pytest
 
 from repro.engine import CompletionEngine, EngineQuery
-from repro.engine.pool import default_worker_count, run_batch
 from repro.lang.loader import load_environment_text
 from repro.lang.parser import parse_type
 
@@ -27,25 +24,6 @@ goal FileReader
 @pytest.fixture
 def engine():
     return CompletionEngine()
-
-
-class TestRunBatch:
-    def test_sequential_preserves_order(self):
-        assert run_batch(math.sqrt, [16, 4, 1]) == [4.0, 2.0, 1.0]
-
-    def test_pooled_preserves_order(self):
-        # math.sqrt is picklable by reference, so this exercises the real
-        # process pool where the sandbox allows one (and the sequential
-        # fallback where it does not) — results must be identical either way.
-        payloads = list(range(1, 20))
-        assert run_batch(math.sqrt, payloads, max_workers=2) == \
-            [math.sqrt(value) for value in payloads]
-
-    def test_empty_batch(self):
-        assert run_batch(math.sqrt, []) == []
-
-    def test_default_worker_count_positive(self):
-        assert default_worker_count() >= 1
 
 
 class TestCompleteBatch:
@@ -88,6 +66,8 @@ class TestCompleteBatch:
         assert [outcome.cache_hit for outcome in served] == \
             [False, True, True]
         assert served[0].result is served[1].result is served[2].result
+        assert engine.cache_stats.misses == 1
+        assert engine.cache_stats.hits == 2
 
     def test_second_batch_is_all_hits(self, engine):
         loaded = load_environment_text(SCENE_A)
@@ -98,23 +78,6 @@ class TestCompleteBatch:
         engine.complete_batch(queries, scene=prepared)
         rerun = engine.complete_batch(queries, scene=prepared)
         assert all(outcome.cache_hit for outcome in rerun)
-
-    def test_pooled_batch_matches_sequential(self, engine):
-        loaded = load_environment_text(SCENE_A)
-        prepared = engine.prepare(loaded.environment, loaded.subtypes,
-                                  goal=loaded.goal)
-        queries = [EngineQuery(goal=loaded.goal),
-                   EngineQuery(goal=parse_type("String")),
-                   EngineQuery(goal=loaded.goal, variant="no_weights")]
-        sequential = engine.complete_batch(queries, scene=prepared)
-
-        pooled_engine = CompletionEngine(max_workers=2)
-        pooled = pooled_engine.complete_batch(queries, scene=prepared)
-        for left, right in zip(sequential, pooled):
-            assert [s.code for s in left.snippets] == \
-                [s.code for s in right.snippets]
-            assert [s.weight for s in left.snippets] == \
-                [s.weight for s in right.snippets]
 
     def test_batch_without_goal_rejected(self, engine):
         from repro.core.errors import EngineError

@@ -101,56 +101,14 @@ class TestServing:
             async with running_server() as (server, client):
                 await client.complete(scene=SCENE)
                 stats = await client.stats()
-                executor = stats["executor"]
-                assert executor["threads"] == server.config.executor_workers
-                assert executor["workers"] == 1
-                assert executor["process_pool"] is False
+                assert stats["executor"] == {"threads": 4}
                 arena = stats["core"]["env_arena"]
-                # Thread-mode synthesis runs in-process, so the scene's
-                # arena is visible here.
+                # Synthesis runs in-process, so the scene's arena is
+                # visible here.
                 assert arena["live_arenas"] >= 1
                 assert arena["env_count"] >= 1
                 assert arena["transition_memo_misses"] >= 0
                 assert stats["core"]["interned_types"]["type_ids_assigned"] > 0
-
-        asyncio.run(main())
-
-    def test_process_pool_workers_serve_identical_results(self):
-        async def main():
-            async with running_server() as (_threads, thread_client):
-                expected = await thread_client.complete(scene=SCENE)
-            async with running_server(workers=2) as (server, client):
-                served = await client.complete(scene=SCENE)
-                assert served["snippets"] == expected["snippets"]
-                warm = await client.complete(scene=SCENE)
-                assert warm["cache_hit"] is True
-                stats = await client.stats()
-                assert stats["executor"]["workers"] == 2
-                if server._pool is not None:  # pool may be unavailable
-                    assert stats["executor"]["process_pool"] is True
-
-        asyncio.run(main())
-
-    def test_broken_pool_degrades_to_threads(self):
-        async def main():
-            async with running_server(workers=2) as (server, client):
-                if server._pool is None:
-                    return              # sandbox without multiprocessing
-                # Simulate a sandbox killing the workers mid-flight.
-                server._pool.shutdown(wait=False, cancel_futures=True)
-                from concurrent.futures.process import BrokenProcessPool
-
-                class _Broken:
-                    def submit(self, *args, **kwargs):
-                        raise BrokenProcessPool("workers are gone")
-
-                    def shutdown(self, **kwargs):
-                        pass
-
-                server._pool = _Broken()
-                served = await client.complete(scene=SCENE)
-                assert served["inhabited"] is True
-                assert server._pool is None  # permanently downgraded
 
         asyncio.run(main())
 
@@ -872,9 +830,7 @@ class TestGcTuning:
         before = gc.get_threshold()
         try:
             async def main():
-                async with running_server(
-                        gc_tune=True,
-                        gc_thresholds=(40_000, 20, 20)) as (server, client):
+                async with running_server(gc_tune=True) as (server, client):
                     await client.register_scene(SCENE)
                     # The freeze runs on the executor; wait for it.
                     for _ in range(100):
@@ -883,7 +839,7 @@ class TestGcTuning:
                         await asyncio.sleep(0.02)
                     stats = await client.stats()
                     assert stats["gc"]["tuned"] is True
-                    assert stats["gc"]["thresholds"] == [40_000, 20, 20]
+                    assert stats["gc"]["thresholds"] == [50_000, 25, 25]
                     assert stats["gc"]["frozen"] > 0
                     # Serving still works with a frozen heap.
                     result = await client.complete(scene=SCENE)

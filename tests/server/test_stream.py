@@ -8,7 +8,6 @@ test boots a real :class:`AsyncCompletionServer` and talks through
 import asyncio
 import contextlib
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -193,31 +192,6 @@ class TestLiveStreaming:
                 warm = await _collect(client, scene_id, n=5)
                 assert warm[-1]["cache_hit"] is True
                 assert warm[:-1] == snippets
-        asyncio.run(main())
-
-
-class TestStreamExecutors:
-    def test_streamed_miss_takes_the_pool_unless_live(self):
-        """A callback cannot cross a process boundary, so only a live
-        stream (empty ranking chain) stays on the threads; with reranking
-        on, a streamed miss goes to the ``--workers`` pool like a unary
-        one.  A thread pool stands in for the process pool."""
-        class CountingPool(ThreadPoolExecutor):
-            submitted = 0
-
-            def submit(self, *args, **kwargs):
-                self.submitted += 1
-                return super().submit(*args, **kwargs)
-
-        async def main():
-            for rerank in (True, False):
-                async with running_server(rerank=rerank) as (server, client):
-                    server._pool = pool = CountingPool(max_workers=1)
-                    registered = await client.register_scene(SCENE)
-                    chunks = await _collect(client, registered["scene_id"],
-                                            n=4)
-                    assert chunks[-1]["cache_hit"] is False
-                    assert (pool.submitted > 0) is rerank
         asyncio.run(main())
 
 

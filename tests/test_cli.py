@@ -110,11 +110,6 @@ class TestBatchCommand:
         assert "goal File" in out
         assert "goal String" in out
 
-    def test_workers_flag_accepted(self, scene_file, capsys):
-        code = main(["batch", scene_file, "--workers", "2"])
-        assert code == 0
-        assert "new File(name)" in capsys.readouterr().out
-
     def test_uninhabited_goal_reported(self, scene_file, capsys):
         code = main(["batch", scene_file, "--goals", "Unobtainium"])
         out = capsys.readouterr().out
@@ -224,14 +219,6 @@ class TestServeCommand:
         code = main(["serve", "--port", "0", "--deadline-ms", "0"])
         assert code == 2
         assert "--deadline-ms" in capsys.readouterr().err
-
-    def test_workers_flag_parsed_and_validated(self, capsys):
-        from repro.cli import _build_parser
-        args = _build_parser().parse_args(["serve", "--workers", "4"])
-        assert args.workers == 4
-        code = main(["serve", "--port", "0", "--workers", "0"])
-        assert code == 2
-        assert "--workers" in capsys.readouterr().err
 
     def test_serve_registers_scenes_and_answers(self, scene_file):
         """Boot the real server via the CLI path and complete against it."""
@@ -431,3 +418,18 @@ class TestArgumentErrors:
     def test_unknown_variant_rejected(self, scene_file):
         with pytest.raises(SystemExit):
             main(["synthesize", scene_file, "--variant", "psychic"])
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["serve", "--workers", "2"], id="serve-workers"),
+        pytest.param(["serve", "--executor-workers", "2"],
+                     id="serve-executor-workers"),
+        pytest.param(["serve", "--gc-thresholds", "1"],
+                     id="serve-gc-thresholds"),
+        pytest.param(["route", "--workers", "2"], id="route-workers"),
+        pytest.param(["batch", "--workers", "2"], id="batch-workers"),
+    ])
+    def test_removed_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert argv[1] in capsys.readouterr().err
