@@ -182,11 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--deadline-ms", type=int, default=None,
                        help="default per-request deadline when the client "
                             "sends none")
-    serve.add_argument("--gc-tune", action="store_true",
-                       help="tune the collector for serving: freeze each "
-                            "prepared scene into the permanent generation "
-                            "and raise the collection thresholds (gen-2 "
-                            "pauses are the main warm-latency noise)")
     serve.add_argument("--snapshot", default=None, metavar="PATH",
                        help="result-cache snapshot file: restored at "
                             "startup (warm replica start) and re-saved "
@@ -803,7 +798,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                           max_pending=args.max_pending,
                           max_scenes=args.max_scenes,
                           default_deadline_ms=args.deadline_ms,
-                          gc_tune=args.gc_tune,
                           snapshot_path=args.snapshot,
                           snapshot_interval=args.snapshot_interval,
                           inject_latency_ms=args.inject_latency_ms,
@@ -1284,9 +1278,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
           f"retired={arena.get('retired_arenas')}")
     gc_stats = payload.get("gc", {})
     if gc_stats:
-        print(f"gc: tuned={gc_stats.get('tuned')} "
+        print(f"gc: settles={gc_stats.get('settles')} "
+              f"reclaims={gc_stats.get('reclaims')} "
               f"thresholds={gc_stats.get('thresholds')} "
-              f"frozen={gc_stats.get('frozen')} "
               f"collections={gc_stats.get('collections')}")
     return 0
 

@@ -23,7 +23,7 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.core.types import Arrow, BaseType, Type
+from repro.core.types import Arrow, BaseType, Type, uncurry
 
 
 @dataclass(frozen=True)
@@ -205,9 +205,14 @@ def intern_table_stats() -> dict:
 
 
 def _clear_derived_memos() -> None:
-    """Drop every memo that pins interned instances (they all rebuild)."""
+    """Drop every memo that pins interned instances (they all rebuild).
+
+    ``uncurry``'s memo pins no succinct types, but it keeps every simple
+    type it has split alive, released scenes' included.
+    """
     sigma.cache_clear()
     sort_key.cache_clear()
+    uncurry.cache_clear()
     _SORTED_ARGS.clear()
     _SUBTERMS.clear()
 

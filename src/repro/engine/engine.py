@@ -32,11 +32,17 @@ more traffic through more ``repro route`` backends, each a process with
 its own engine, not through worker processes behind one engine: such a
 worker re-pickles and re-prepares every scene it is sent and never sees
 the warm per-environment memos of the process that prepared it.
+
+Every newly prepared scene settles the heap (:class:`GcPolicy`): what is
+alive then is frozen out of all later collections, so the collector's
+cost follows allocation churn, not the resident scenes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -61,6 +67,66 @@ VARIANTS = ("no_weights", "no_corpus", "full")
 #: (:meth:`CompletionEngine.snapshot_results`); bump on layout changes —
 #: a mismatched snapshot restores nothing rather than garbage.
 SNAPSHOT_VERSION = 1
+
+
+#: A settle reclaims (unfreeze, one full collection, re-freeze) instead of
+#: only freezing once the heap holds this many times the blocks it held at
+#: the previous full settle.
+RECLAIM_GROWTH = 2
+
+
+class GcPolicy:
+    """The process's collector policy: freeze what prepared scenes keep.
+
+    A prepared scene, the model it was built from and the memos its
+    queries fill stay alive until the scene is released, yet every gen-2
+    collection walks all of them again; on Table-2-sized heaps that costs
+    more than synthesis.  :meth:`settle`, run by
+    :meth:`CompletionEngine.prepare` after each newly built scene, moves
+    everything alive at that moment into the permanent generation
+    (``gc.freeze()``, constant time), which no collection visits.  Frozen
+    objects still die by reference counting, and a released scene holds
+    no cycles, so releasing it still frees it.
+
+    A freeze also keeps whatever cyclic garbage is alive but not yet
+    collected at that moment.  To bound it, a settle reclaims instead once
+    ``sys.getallocatedblocks()`` passes :data:`RECLAIM_GROWTH` times its
+    value at the previous full settle; the first settle only freezes and
+    records that value.  The block count reads pymalloc's arena table,
+    never the objects, so outside a reclaim no settle walks the heap (nor
+    calls ``gc.get_freeze_count()``, which does).  CPython's collection
+    thresholds stay at their defaults.
+
+    One policy per process, like the heap it settles, behind one lock: a
+    server prepares on executor threads.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._baseline: Optional[int] = None
+        self.settles = 0
+        self.reclaims = 0
+
+    def settle(self) -> None:
+        """Freeze the live heap; reclaim first once it outgrew its bound."""
+        with self._lock:
+            blocks = sys.getallocatedblocks()
+            if self._baseline is None:
+                self._baseline = blocks
+            elif blocks > RECLAIM_GROWTH * self._baseline:
+                gc.unfreeze()
+                gc.collect()
+                self._baseline = sys.getallocatedblocks()
+                self.reclaims += 1
+            gc.freeze()
+            self.settles += 1
+
+    def stats(self) -> dict:
+        return {"settles": self.settles, "reclaims": self.reclaims}
+
+
+#: The one policy of this process; every engine's ``prepare`` settles it.
+GC_POLICY = GcPolicy()
 
 
 def policy_for_variant(variant: str) -> WeightPolicy:
@@ -181,7 +247,11 @@ class CompletionEngine:
                 subtypes: Optional[SubtypeGraph] = None,
                 goal: Optional[Type] = None,
                 name: str = "scene") -> PreparedScene:
-        """Prepare (or fetch the already-prepared state of) one scene."""
+        """Prepare (or fetch the already-prepared state of) one scene.
+
+        A newly built scene settles the heap (:data:`GC_POLICY`) before it
+        is returned; a scene-table hit does not.
+        """
         subtypes = subtypes or SubtypeGraph()
         scene_key = (environment.fingerprint(), tuple(subtypes.edges()))
         prepared = self.scenes.get(scene_key)
@@ -198,6 +268,7 @@ class CompletionEngine:
                 scene_key=scene_key,
             )
             self.scenes.put(scene_key, prepared)
+            GC_POLICY.settle()
             return prepared
         # Cache hit: the expensive state is shared, but the caller's default
         # goal (and label) must win — two scenes with identical declarations

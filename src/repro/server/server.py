@@ -49,8 +49,8 @@ from repro.core.ranking import RankingPipeline
 from repro.core.synthesizer import SynthesisResult
 from repro.core.types import Type
 from repro.corpus.mining import ProjectWeightTables
-from repro.engine.engine import (CompletionEngine, PreparedScene,
-                                 policy_for_variant)
+from repro.engine.engine import (GC_POLICY, CompletionEngine,
+                                 PreparedScene, policy_for_variant)
 from repro.engine.keys import query_key
 from repro.server import protocol
 from repro.server.front import HttpFront, _StreamWire
@@ -68,13 +68,6 @@ from repro.server.registry import (RegisteredScene, SceneRegistry,
 #: write, a type shed) run beside a long synthesis instead of behind it.
 EXECUTOR_THREADS = 4
 
-#: Collection thresholds ``gc_tune`` applies (gen0 allocations, gen1/gen2
-#: promotion counts).  The gen0 threshold is ~70x CPython's default 700:
-#: request handling allocates heavily but almost nothing survives, so
-#: rarer, slightly larger young collections beat frequent tiny ones once
-#: the long-lived data is frozen.
-GC_THRESHOLDS = (50_000, 25, 25)
-
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -86,15 +79,6 @@ class ServerConfig:
     max_scenes: int = 32                   # registry LRU size
     default_deadline_ms: Optional[int] = None
     latency_window: int = 2048
-    #: GC tuning for the serving process (``repro serve --gc-tune``).
-    #: Warm-latency noise is dominated by gen-2 collections scanning the
-    #: prepared scenes' millions of long-lived objects; with tuning on,
-    #: every scene registration is followed by ``gc.collect()`` +
-    #: ``gc.freeze()`` (moving the scene's objects to the permanent
-    #: generation, where no collection ever visits them) and the
-    #: collection thresholds are raised to :data:`GC_THRESHOLDS` so the
-    #: steady-state request path triggers far fewer collections.
-    gc_tune: bool = False
     #: Idle/read timeout per request on a connection: a half-sent request
     #: (or an idle keep-alive socket) releases its handler task and fd
     #: after this many seconds instead of pinning them forever.  The
@@ -251,9 +235,6 @@ class AsyncCompletionServer:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        if self.config.gc_tune:
-            import gc
-            gc.set_threshold(*GC_THRESHOLDS)
         if self.config.project_weights_path is not None:
             # Strict: a typo'd --project-weights path should fail the
             # serve command, not silently rank on the global table.
@@ -359,32 +340,6 @@ class AsyncCompletionServer:
 
         future.add_done_callback(_done)
 
-    @staticmethod
-    def _gc_settle() -> None:
-        """Collect garbage, then freeze survivors (executor-side).
-
-        Everything alive right after a scene prepare — the environment,
-        its succinct signature, interned types, candidate memos — is
-        long-lived by construction; freezing moves it to the permanent
-        generation so no future collection ever traverses it.  Safe to
-        run repeatedly: freeze is cumulative, and unfreezing never
-        happens in a serving process (eviction replaces references, and
-        frozen garbage is reclaimed by ``gc.unfreeze()``-free refcounting
-        for the non-cyclic bulk of it).
-
-        The deliberate trade-off behind the opt-in flag: the freeze also
-        sweeps in whatever request-handling objects happen to be alive
-        at that instant, and *cyclic* frozen garbage (dropped scenes'
-        back-references, asyncio error-path cycles) is never reclaimed —
-        memory is exchanged for the elimination of gen-2 pause noise,
-        which is the right deal for a latency-serving process and the
-        wrong one for anything long-lived with heavy scene churn and no
-        restarts.
-        """
-        import gc
-        gc.collect()
-        gc.freeze()
-
     def _scene_evicted(self, scene: RegisteredScene) -> None:
         self.metrics.scenes_evicted += 1
         self._shed_types_async()
@@ -439,14 +394,6 @@ class AsyncCompletionServer:
         already = already or joined
         if not already:
             self.metrics.scenes_registered += 1
-            if self.config.gc_tune:
-                # Settle the freshly prepared scene into the permanent
-                # generation off the event loop: one full collection now
-                # buys gen-2-pause-free serving later.
-                try:
-                    self._executor.submit(self._gc_settle)
-                except RuntimeError:
-                    pass                    # executor already shut down
         self._inline_ids.put(digest, scene.scene_id)
         return scene, already
 
@@ -735,10 +682,9 @@ class AsyncCompletionServer:
                   "simple_types": simple_type_stats(),
                   "env_arena": arena_stats()},
             gc={
-                "tuned": self.config.gc_tune,
+                **GC_POLICY.stats(),
                 "thresholds": list(gc.get_threshold()),
                 "counts": list(gc.get_count()),
-                "frozen": gc.get_freeze_count(),
                 "collections": [generation["collections"]
                                 for generation in gc.get_stats()],
             },

@@ -4,13 +4,16 @@ Boots a real ``repro serve`` subprocess on an ephemeral port, then drives
 it with the async client: register every shipped example scene, complete
 each one cold and again warm (asserting a cache hit), fire a burst of
 concurrent identical requests and assert — via ``/v1/stats`` — that they
-coalesced into exactly one synthesis.  Exit code 0 means the serving path
-works end-to-end; CI runs this after the unit suite.
+coalesced into exactly one synthesis.  Once the scenes are registered,
+``/v1/stats`` must also show that the engine's collector policy settled
+the heap at least once (``gc.settles``).  Exit code 0 means the serving
+path works end-to-end; CI runs this after the unit suite.
 
 With ``--router`` the same drive runs against ``repro route`` over two
 supervised backend processes instead — the protocol is identical, so the
 very same assertions must hold, plus the aggregated ``/v1/stats`` view
-must carry one entry per shard.  CI runs both forms.
+must carry one entry per shard, and every shard must have settled its
+heap.  CI runs both forms.
 
 ``--stream`` adds the protocol v2 drive on top (composable with
 ``--router``): every scene is streamed as NDJSON cold and warm —
@@ -511,6 +514,31 @@ async def _stream_drive(client: AsyncCompletionClient,
     return report
 
 
+async def _gc_policy_report(client: AsyncCompletionClient,
+                            shards: int) -> str:
+    """Assert every serving process settled its heap after a prepare.
+
+    The engine freezes what a newly prepared scene keeps alive with no
+    flag to turn it on; a ``repro serve`` that stops settling fails here.
+    """
+    stats = await client.stats()
+    if shards:
+        missing = [shard["backend_id"] for shard in stats["shards"]
+                   if "stats" not in shard]
+        assert not missing, f"no stats from shards {missing}"
+        sections = [shard["stats"]["gc"] for shard in stats["shards"]]
+    else:
+        sections = [stats["gc"]]
+    settles = [section["settles"] for section in sections]
+    assert all(count >= 1 for count in settles), (
+        f"scenes were registered but the heap was never settled: "
+        f"settles {settles}")
+    reclaims = [section["reclaims"] for section in sections]
+    gen2 = [section["collections"][2] for section in sections]
+    return (f"gc: settles {settles}, reclaims {reclaims}, "
+            f"gen-2 collections {gen2}")
+
+
 async def _drive(host: str, port: int, scene_paths: Sequence[Path],
                  burst: int, shards: int = 0,
                  chaos: bool = False, stream: bool = False,
@@ -554,6 +582,7 @@ async def _drive(host: str, port: int, scene_paths: Sequence[Path],
                 f"best {cold['snippets'][0]['code']!r}, "
                 f"cold {cold['synthesis_ms']:.0f} ms, "
                 f"warm hit {warm['server_ms']:.2f} ms, hinted rerank ok")
+        report.append(await _gc_policy_report(client, shards))
 
         if stream:
             report.extend(await _stream_drive(client, scene_paths))

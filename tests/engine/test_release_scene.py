@@ -77,6 +77,16 @@ class TestReleaseScene:
         engine.release_scene(prepared)
         assert intern_table_size() == 0
 
+    def test_release_last_scene_clears_the_uncurry_memo(self, engine):
+        from repro.core.types import uncurry
+
+        prepared = _prepare(engine, SCENE)
+        engine.complete(prepared)
+        assert uncurry.cache_info().currsize > 0
+        engine.release_scene(prepared)
+        # The memo would otherwise keep the released scene's types alive.
+        assert uncurry.cache_info().currsize == 0
+
     def test_released_scene_can_be_reprepared(self, engine):
         prepared = _prepare(engine, SCENE)
         before = engine.complete(prepared)

@@ -813,51 +813,19 @@ class TestGcTuning:
     def test_stats_expose_gc_section_untuned(self):
         async def main():
             async with running_server() as (server, client):
+                before = (await client.stats())["gc"]["settles"]
+                await client.register_scene(SCENE)
                 stats = await client.stats()
                 gc_stats = stats["gc"]
-                assert gc_stats["tuned"] is False
+                assert set(gc_stats) == {"settles", "reclaims", "thresholds",
+                                         "counts", "collections"}
+                # Registering a new scene prepares it, and every new
+                # prepare settles the heap: the policy needs no flag.
+                assert gc_stats["settles"] >= before + 1
                 assert len(gc_stats["thresholds"]) == 3
                 assert len(gc_stats["counts"]) == 3
-                assert gc_stats["frozen"] >= 0
+                assert len(gc_stats["collections"]) == 3
                 simple = stats["core"]["simple_types"]
                 assert simple["ids_assigned"] >= simple["size"] >= 0
 
         asyncio.run(main())
-
-    def test_gc_tune_applies_thresholds_and_freezes_scenes(self):
-        import gc
-
-        before = gc.get_threshold()
-        try:
-            async def main():
-                async with running_server(gc_tune=True) as (server, client):
-                    await client.register_scene(SCENE)
-                    # The freeze runs on the executor; wait for it.
-                    for _ in range(100):
-                        if gc.get_freeze_count() > 0:
-                            break
-                        await asyncio.sleep(0.02)
-                    stats = await client.stats()
-                    assert stats["gc"]["tuned"] is True
-                    assert stats["gc"]["thresholds"] == [50_000, 25, 25]
-                    assert stats["gc"]["frozen"] > 0
-                    # Serving still works with a frozen heap.
-                    result = await client.complete(scene=SCENE)
-                    assert result["snippets"]
-
-            asyncio.run(main())
-        finally:
-            gc.set_threshold(*before)
-            gc.unfreeze()
-
-    def test_gc_settle_freezes_and_is_repeatable(self):
-        import gc
-
-        try:
-            AsyncCompletionServer._gc_settle()
-            first = gc.get_freeze_count()
-            assert first > 0  # the settle actually froze the live heap
-            AsyncCompletionServer._gc_settle()
-            assert gc.get_freeze_count() > 0  # repeat settles stay frozen
-        finally:
-            gc.unfreeze()

@@ -425,6 +425,7 @@ class TestArgumentErrors:
                      id="serve-executor-workers"),
         pytest.param(["serve", "--gc-thresholds", "1"],
                      id="serve-gc-thresholds"),
+        pytest.param(["serve", "--gc-tune"], id="serve-gc-tune"),
         pytest.param(["route", "--workers", "2"], id="route-workers"),
         pytest.param(["batch", "--workers", "2"], id="batch-workers"),
     ])
