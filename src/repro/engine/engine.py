@@ -540,18 +540,10 @@ class CompletionEngine:
         restore only entries for those environments.  Returns the number
         of entries restored.
         """
-        import pickle
-
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-        except Exception:   # noqa: BLE001 — any unreadable file = cold start
+        snapshot = self.read_snapshot(path)
+        if snapshot is None:
             return 0
-        if (not isinstance(payload, dict)
-                or payload.get("version") != SNAPSHOT_VERSION
-                or not isinstance(payload.get("by_fingerprint"), dict)):
-            return 0
-        weights_doc = payload.get("project_weights")
+        weights_doc = snapshot.get("project_weights")
         if weights_doc is not None and self.project_weights is None:
             # Explicit configuration (``--project-weights``) wins over the
             # snapshot; a bare respawn gets its ranking behaviour back.
@@ -560,8 +552,35 @@ class CompletionEngine:
                     weights_doc)
             except Exception:   # noqa: BLE001 — forgiving, like the cache
                 pass
+        return self.merge_results(snapshot, fingerprints)
+
+    @staticmethod
+    def read_snapshot(path: str) -> Optional[dict]:
+        """Unpickle and version-check a snapshot file (any thread).
+
+        ``None`` for a missing, unreadable, wrong-version or corrupt
+        file.  Split from :meth:`merge_results` so a serving layer can
+        read on an executor and merge on the cache's owning thread.
+        """
+        import pickle
+
+        try:
+            with open(path, "rb") as handle:
+                payload = pickle.load(handle)
+        except Exception:   # noqa: BLE001 — any unreadable file = cold start
+            return None
+        if (not isinstance(payload, dict)
+                or payload.get("version") != SNAPSHOT_VERSION
+                or not isinstance(payload.get("by_fingerprint"), dict)):
+            return None
+        return payload
+
+    def merge_results(self, snapshot: dict,
+                      fingerprints: Optional[set] = None) -> int:
+        """Put a :meth:`read_snapshot` payload's valid entries into the
+        result cache (only those under *fingerprints*, when given)."""
         restored = 0
-        for fingerprint, entries in payload["by_fingerprint"].items():
+        for fingerprint, entries in snapshot["by_fingerprint"].items():
             if fingerprints is not None and fingerprint not in fingerprints:
                 continue
             if not isinstance(entries, list):

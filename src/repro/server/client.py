@@ -24,7 +24,8 @@ import hashlib
 from repro.core.errors import ReproError
 from repro.core.ranking import CompletionContext
 from repro.server.protocol import (PROTOCOL_VERSION, AdminBackendsRequest,
-                                   CompleteRequest, EditSceneRequest,
+                                   AdoptSnapshotRequest, CompleteRequest,
+                                   EditSceneRequest,
                                    RegisterSceneRequest, ReleaseSceneRequest,
                                    encode_body)
 
@@ -341,6 +342,12 @@ class AsyncCompletionClient:
         """Explicitly drop a registered scene (idempotent server-side)."""
         request = ReleaseSceneRequest(scene_id=scene_id)
         return await self._request("POST", "/v1/release-scene",
+                                   request.to_payload())
+
+    async def adopt_snapshot(self, peer: str) -> dict:
+        """Merge sibling *peer*'s result-cache snapshot (held scenes only)."""
+        request = AdoptSnapshotRequest(peer=peer)
+        return await self._request("POST", "/v1/adopt-snapshot",
                                    request.to_payload())
 
     async def edit_scene(self, scene_id: str, ops: Sequence[dict], *,

@@ -90,6 +90,7 @@ class ServerMetrics:
         self.streams = 0                   # streamed completions served
         self.stream_chunks = 0             # NDJSON chunks written to streams
         self.snapshot_restored = 0         # entries restored at startup
+        self.snapshot_adopted = 0          # entries merged from siblings
         self.snapshots_saved = 0           # snapshot files written
         self.queue_depth = 0               # pending/running syntheses now
         self.queue_peak = 0

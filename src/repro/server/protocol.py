@@ -279,6 +279,32 @@ class ReleaseSceneRequest:
         return {"scene_id": self.scene_id}
 
 
+@dataclass(frozen=True)
+class AdoptSnapshotRequest:
+    """``POST /v1/adopt-snapshot``: merge a sibling replica's results.
+
+    ``peer`` names the sibling's snapshot, ``<peer>.snapshot`` in the
+    directory of this server's own ``--snapshot`` file — the layout
+    ``repro route --snapshot-dir`` gives its backends — so a caller can
+    only point at files the operator already placed there.  The server
+    restores only entries for scenes it holds.
+    """
+
+    peer: str
+
+    @staticmethod
+    def from_payload(payload: Any) -> "AdoptSnapshotRequest":
+        payload = _require(payload)
+        peer = _optional_str(payload, "peer")
+        if not peer or peer.startswith(".") or "/" in peer or "\\" in peer:
+            raise ProtocolError("'peer' must be a backend id "
+                                "(a plain file-name stem)")
+        return AdoptSnapshotRequest(peer=peer)
+
+    def to_payload(self) -> dict:
+        return {"peer": self.peer}
+
+
 #: Most delta ops accepted per ``edit-scene`` request: each op is one
 #: editor keystroke's worth of change; hundreds in one body means a bulk
 #: rewrite, which is what ``register-scene`` is for.

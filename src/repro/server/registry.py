@@ -226,6 +226,10 @@ class SceneRegistry:
         self._drop(scene, evicted=False)
         return True
 
+    def fingerprints(self) -> set:
+        """Environment fingerprints of every registered scene."""
+        return set(self._fingerprint_refs)
+
     def __len__(self) -> int:
         return len(self._scenes)
 

@@ -34,9 +34,11 @@ zero wire changes.  Its front side is the server's own
   under ``router``.
 * **Replicated placement** (:meth:`HashRing.route_n`): every scene is
   journaled to R distinct ring owners (``replication``, default 2);
-  reads go to the healthiest/least-loaded owner and fail over to a
+  reads go to the first healthy owner in ring order and fail over to a
   sibling replica instantly when one dies — the dead replica respawns
-  in the background instead of stalling the request that found it.
+  in the background instead of stalling the request that found it, and
+  every live sibling adopts its result-cache snapshot
+  (``POST /v1/adopt-snapshot``), so the failed-over reads answer warm.
   Unary and streamed completions take the same read path: a stream is
   opened (up to its first chunk) by the ladder that serves a unary
   read, with its budget, hedge, failover, re-teach and degraded rungs.
@@ -579,6 +581,7 @@ class Backend:
     breaker: CircuitBreaker = field(default_factory=CircuitBreaker)
     draining: bool = False                  # admin drain in progress
     inflight: int = 0                       # router calls outstanding
+    answered: int = 0                       # router calls answered, ever
     latency: LatencyTracker = field(default_factory=LatencyTracker)
     ejected: bool = False                   # latency outlier, demoted
     ejected_at: Optional[float] = None      # monotonic; rejoin clock
@@ -668,6 +671,15 @@ def spawn_cli_server(command: str, args: Sequence[str] = (),
                 args=(process.stdout, label or f"{command}:{port}"),
                 daemon=True).start()
             return process, host, int(port)
+
+
+def _kill_spawned(spawn: "asyncio.Future") -> None:
+    """Stop a backend whose spawn finished after its respawn was
+    cancelled."""
+    if not spawn.cancelled() and spawn.exception() is None:
+        process = spawn.result()[0]
+        process.kill()
+        process.wait()
 
 
 def _spawn_serve_process(snapshot_path: Optional[str],
@@ -894,6 +906,7 @@ class CompletionRouter:
         self.hedges_won = 0                 # of which the hedge answered first
         self.ejections = 0                  # latency outliers demoted
         self.rebalances = 0                 # skew-driven scene migrations
+        self.adopted = 0                    # results merged from dead siblings
         #: Recent rebalance decisions, oldest first, for stats readers.
         self.rebalance_events: deque = deque(maxlen=32)
         #: scene id -> serve count; feeds hottest-scene selection when a
@@ -905,6 +918,9 @@ class CompletionRouter:
                                         self.config.retry_budget_burst)
         self.lkg = LastKnownGood(self.config.lkg_entries)
         self._respawn_tasks: dict[str, asyncio.Task] = {}
+        #: backend id -> snapshot adoptions in flight into it; a read
+        #: routed there waits for them (see :meth:`_begin_takeover`).
+        self._adoptions: dict[str, set] = {}
         self._supervisor_task: Optional[asyncio.Task] = None
         #: scene id -> backend id for delta-edited scenes: an edit leaves
         #: warm incremental state on the backend that applied it, which
@@ -921,6 +937,7 @@ class CompletionRouter:
             ("POST", "/v1/register-scene"): self._handle_register,
             ("POST", "/v1/release-scene"): self._handle_release,
             ("POST", "/v1/edit-scene"): self._handle_edit,
+            ("POST", "/v1/adopt-snapshot"): self._refuse_adopt,
             ("GET", "/v1/admin/backends"): self._admin_list_payload,
             ("POST", "/v1/admin/backends"): self._handle_admin,
         }, self._complete_one, read_timeout=self.config.read_timeout,
@@ -971,6 +988,9 @@ class CompletionRouter:
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
                 pass                        # shutting down; outcome moot
         self._respawn_tasks.clear()
+        for pending in self._adoptions.values():
+            for task in list(pending):
+                task.cancel()
         for backend in self.backends.values():
             await backend.client.close()
             if backend.process is not None:
@@ -1032,9 +1052,16 @@ class CompletionRouter:
                 process.wait()              # reap the corpse
             await backend.client.close()
             loop = asyncio.get_running_loop()
-            new_process, host, port = await loop.run_in_executor(
+            spawn = loop.run_in_executor(
                 None, _spawn_serve_process, backend.snapshot_path,
                 self.config.backend_args, backend.backend_id)
+            try:
+                new_process, host, port = await asyncio.shield(spawn)
+            except asyncio.CancelledError:
+                # close() cancelled the respawn mid-spawn; the child
+                # still starts, and nothing else would ever stop it.
+                spawn.add_done_callback(_kill_spawned)
+                raise
             backend.process = new_process
             backend.host, backend.port = host, port
             backend.client = self._client(host, port)
@@ -1077,11 +1104,17 @@ class CompletionRouter:
         """The scene's replica set, best-first.
 
         The sticky edit-session home (warm incremental state) leads when
-        it exists; the ring's R owners follow, healthiest and
-        least-loaded first, so reads land on a live replica even while a
-        sibling is mid-respawn.  An ejected backend (latency outlier)
-        sorts with the non-closed breakers: still a candidate of last
-        resort, never the first choice.
+        it exists; the ring's R owners follow, healthy ones first, so
+        reads land on a live replica even while a sibling is mid-respawn.
+        An ejected backend (latency outlier) sorts with the non-closed
+        breakers: still a candidate of last resort, never the first
+        choice.  Among equally healthy owners the ring order stands:
+        every read of a scene goes to its primary, whose result cache
+        and per-environment memos it warmed.  Ordering by load instead
+        spread one key over both replicas, so each paid the cold
+        synthesis, and a recovery read could miss on the replica that
+        never computed the key.  Sustained skew is the rebalance
+        policy's job and a stalled primary the hedge's.
         """
         ids: list[str] = []
         home = self._session_homes.get(scene_id)
@@ -1096,8 +1129,7 @@ class CompletionRouter:
                 for backend_id in ids[len(head):]
                 if backend_id in self.backends]
         tail.sort(key=lambda b: (not b.healthy,
-                                 b.ejected or b.breaker.state != "closed",
-                                 b.inflight))
+                                 b.ejected or b.breaker.state != "closed"))
         return head + tail
 
     def _kick_respawn(self, backend: Backend) -> None:
@@ -1116,6 +1148,41 @@ class CompletionRouter:
         task = asyncio.ensure_future(self._respawn(backend))
         task.add_done_callback(self._respawn_task_done)
         self._respawn_tasks[backend.backend_id] = task
+        self._begin_takeover(backend)
+
+    def _begin_takeover(self, dead: Backend) -> None:
+        """Have every live sibling adopt *dead*'s result-cache snapshot.
+
+        Reads of the dead replica's scenes fail over to its siblings,
+        which never computed the keys the dead primary answered; merging
+        its snapshot lets them answer those keys warm.  A read routed to
+        a sibling first waits for the sibling's adoption
+        (:meth:`_await_adoptions`), so a failover never races the merge.
+        """
+        for sibling in self.backends.values():
+            if sibling is dead or not sibling.healthy:
+                continue
+            task = asyncio.ensure_future(self._adopt(sibling, dead))
+            pending = self._adoptions.setdefault(sibling.backend_id, set())
+            pending.add(task)
+            task.add_done_callback(pending.discard)
+
+    async def _adopt(self, sibling: Backend, dead: Backend) -> None:
+        if sibling.snapshot_path is None or dead.snapshot_path is None:
+            return
+        try:
+            response = await sibling.client.adopt_snapshot(dead.backend_id)
+        except ReproError:
+            self.errors["adopt"] += 1       # reads there simply run cold
+            return
+        self.adopted += response.get("restored", 0)
+
+    async def _await_adoptions(self, backend: Backend,
+                               deadline_at: Optional[float]) -> None:
+        pending = self._adoptions.get(backend.backend_id)
+        if pending:
+            await asyncio.wait(set(pending),
+                               timeout=self._attempt_timeout_s(deadline_at))
 
     def _respawn_task_done(self, task: asyncio.Task) -> None:
         if task.cancelled():
@@ -1305,6 +1372,7 @@ class CompletionRouter:
         finally:
             backend.inflight -= 1
         backend.latency.record(time.monotonic() - started)
+        backend.answered += 1
         backend.healthy = True
         backend.breaker.record_success()
         return result
@@ -1328,6 +1396,7 @@ class CompletionRouter:
         """
         try:
             result = await call(backend.client)
+            backend.answered += 1
             backend.healthy = True          # answered: recovered if it was down
             backend.breaker.record_success()
             return result
@@ -1657,11 +1726,16 @@ class CompletionRouter:
         """The first ladder rung, with a budget-bounded hedge.
 
         If the primary attempt outlives the percentile-derived hedge
-        delay, one hedge fires to the next live sibling replica —
-        *spending a retry-budget token*, so hedge volume is bounded by
-        the same bucket as failovers.  First success wins; the loser is
-        cancelled.  When both arms fail, the primary's error surfaces
-        (the ladder's failover handling takes it from there).
+        delay while its backend answers nothing, and the next live
+        sibling replica carries fewer calls than the primary, one hedge
+        fires to that sibling — *spending a retry-budget token*, so
+        hedge volume is bounded by the same bucket as failovers.
+        Otherwise the attempt waits another delay: a backend that
+        answered other calls is busy, not stalled, and a sibling at
+        least as loaded would only queue a duplicate synthesis behind
+        its own work.  First success wins; the loser is cancelled.
+        When both arms fail, the primary's error surfaces (the ladder's
+        failover handling takes it from there).
         """
         delay = self._hedge_delay_s(backend, deadline_at)
         sibling = next(
@@ -1672,9 +1746,14 @@ class CompletionRouter:
             self._attempt_timed(backend, scene_id, call, deadline_at))
         if delay is None or sibling is None:
             return await primary
-        done, _ = await asyncio.wait({primary}, timeout=delay)
-        if primary in done:
-            return primary.result()
+        while True:
+            answered = backend.answered
+            done, _ = await asyncio.wait({primary}, timeout=delay)
+            if primary in done:
+                return primary.result()
+            if (backend.answered == answered
+                    and sibling.inflight < backend.inflight):
+                break                       # stalled, and the sibling has room
         if not self.retry_budget.try_spend():
             return await primary            # bucket dry: no hedge today
         self.hedges += 1
@@ -1730,6 +1809,7 @@ class CompletionRouter:
                 if not self.retry_budget.try_spend():
                     break                   # budget spent: stop hammering
             attempts += 1
+            await self._await_adoptions(backend, deadline_at)
             try:
                 if attempts == 1:
                     return await self._attempt_hedged(
@@ -1834,6 +1914,15 @@ class CompletionRouter:
         # replica, which is the client-visible meaning of "released".
         return protocol.ok_payload(scene_id=request.scene_id,
                                    released=released or journaled)
+
+    # -- endpoint: adopt-snapshot --------------------------------------------
+
+    def _refuse_adopt(self, payload) -> dict:
+        """A router holds no result cache to merge into: its backends
+        adopt each other's snapshots when one dies (see
+        :meth:`_begin_takeover`)."""
+        raise ProtocolError("adopt-snapshot is a backend endpoint; the "
+                            "router runs it on its backends itself")
 
     # -- endpoint: admin backends --------------------------------------------
 
@@ -2016,6 +2105,7 @@ class CompletionRouter:
             "reregistrations": self.reregistrations,
             "replayed": self.replayed,
             "restarts": self.restarts,
+            "adopted": self.adopted,
             "edits": self.edits,
             "streams_proxied": self.streams_proxied,
             "session_homes": len(self._session_homes),

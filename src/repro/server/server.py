@@ -42,6 +42,7 @@ import asyncio
 import hashlib
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,8 +56,9 @@ from repro.engine.keys import query_key
 from repro.server import protocol
 from repro.server.front import HttpFront, _StreamWire
 from repro.server.metrics import ServerMetrics
-from repro.server.protocol import (CompleteRequest, EditSceneRequest,
-                                   ProtocolError, RegisterSceneRequest,
+from repro.server.protocol import (AdoptSnapshotRequest, CompleteRequest,
+                                   EditSceneRequest, ProtocolError,
+                                   RegisterSceneRequest,
                                    ReleaseSceneRequest, deadline_config)
 from repro.engine.cache import LRUCache
 from repro.server.registry import (RegisteredScene, SceneRegistry,
@@ -218,6 +220,7 @@ class AsyncCompletionServer:
             ("POST", "/v1/register-scene"): self._handle_register,
             ("POST", "/v1/release-scene"): self._handle_release,
             ("POST", "/v1/edit-scene"): self._handle_edit,
+            ("POST", "/v1/adopt-snapshot"): self._handle_adopt,
         }, self._complete_one, read_timeout=self.config.read_timeout,
             requests=self.metrics.requests, errors=self.metrics.errors,
             on_stream=self.metrics.record_stream)
@@ -423,6 +426,28 @@ class AsyncCompletionServer:
         released = self.registry.release(request.scene_id)
         return protocol.ok_payload(scene_id=request.scene_id,
                                    released=released)
+
+    async def _handle_adopt(self, payload) -> dict:
+        """Merge a sibling replica's snapshot into the result cache.
+
+        A router calls this on every live sibling when a backend dies,
+        so the reads that fail over answer from the dead replica's warm
+        results instead of synthesizing them again.  The file is read
+        on the executor; the merge runs here, on the cache's owning
+        thread, and keeps only entries for scenes this server holds.
+        """
+        request = AdoptSnapshotRequest.from_payload(payload)
+        if self.config.snapshot_path is None:
+            raise ProtocolError("adopt-snapshot needs a server started "
+                                "with --snapshot")
+        path = str(Path(self.config.snapshot_path).with_name(
+            f"{request.peer}.snapshot"))
+        snapshot = await asyncio.get_running_loop().run_in_executor(
+            self._executor, CompletionEngine.read_snapshot, path)
+        restored = (0 if snapshot is None else self.engine.merge_results(
+            snapshot, self.registry.fingerprints()))
+        self.metrics.snapshot_adopted += restored
+        return protocol.ok_payload(peer=request.peer, restored=restored)
 
     # -- endpoint: edit-scene ------------------------------------------------
 
@@ -673,6 +698,7 @@ class AsyncCompletionServer:
                 "snapshot": {
                     "path": self.config.snapshot_path,
                     "restored": self.metrics.snapshot_restored,
+                    "adopted": self.metrics.snapshot_adopted,
                     "saved": self.metrics.snapshots_saved,
                 },
             },

@@ -11,6 +11,7 @@ makes the retried completion a warm cache hit.
 
 import asyncio
 import contextlib
+import os
 from pathlib import Path
 
 import pytest
@@ -577,6 +578,22 @@ class TestJournalReplayIntoBackends:
         asyncio.run(second_life(scene_id))
 
 
+def _processes_naming(path) -> list:
+    """Pids of live processes whose command line mentions *path*."""
+    needle = str(path).encode()
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                if needle in handle.read():
+                    pids.append(int(entry))
+        except OSError:
+            pass                            # exited while we looked
+    return pids
+
+
 class TestRouterEndToEnd:
     def test_two_backends_kill_one_and_recover_warm(self, tmp_path):
         """The acceptance path: two spawned backend processes, consistent
@@ -673,3 +690,47 @@ class TestRouterEndToEnd:
                 await router.close()
 
         asyncio.run(main())
+
+    def test_failover_after_a_kill_answers_warm(self, tmp_path):
+        """Reads go to the primary, so the sibling never computed the
+        key; when the primary dies, the sibling adopts its snapshot and
+        the failed-over read is a cache hit, not a second synthesis."""
+        async def main():
+            router = CompletionRouter(RouterConfig(
+                port=0, backends=2,
+                journal_path=str(tmp_path / "journal.jsonl"),
+                snapshot_dir=str(tmp_path / "snapshots")))
+            await router.start()
+            client = AsyncCompletionClient(router.host, router.port,
+                                           timeout=120.0)
+            try:
+                scene_id = (await client.register_scene(SCENE))["scene_id"]
+                cold = await client.complete(scene_id)
+                assert cold["cache_hit"] is False
+                owner, sibling = router._candidates(scene_id)
+                snapshot = Path(owner.snapshot_path)
+                for _ in range(400):
+                    if snapshot.exists():
+                        break
+                    await asyncio.sleep(0.05)
+                assert snapshot.exists(), "backend never snapshotted"
+                sibling_stats = await sibling.client.stats()
+                assert sibling_stats["server"]["synthesized"] == 0
+
+                owner.process.kill()
+                owner.process.wait()
+
+                served = await client.complete(scene_id)
+                assert served["cache_hit"] is True
+                assert served["snippets"] == cold["snippets"]
+                assert router.failovers >= 1
+                assert router.adopted >= 1
+                assert (await client.stats())["router"]["adopted"] >= 1
+            finally:
+                await client.close()
+                await router.close()    # mid-respawn of the dead owner
+
+        asyncio.run(main())
+        if os.path.isdir("/proc"):
+            assert not _processes_naming(tmp_path / "snapshots"), (
+                "closing the router mid-respawn left a backend running")

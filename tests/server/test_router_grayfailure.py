@@ -220,6 +220,15 @@ class TestEjectionSweep:
         assert router._candidates(scene_id)[0] is not first
         assert first in router._candidates(scene_id)    # last resort
 
+    def test_load_does_not_reorder_healthy_owners(self):
+        # Reads stay on the primary that warmed the scene; spreading them
+        # by load made each replica pay the same cold synthesis.
+        router = _bare_router(2)
+        scene_id = "scn_order"
+        first, second = router._candidates(scene_id)
+        first.inflight, second.inflight = 50, 0
+        assert router._candidates(scene_id) == [first, second]
+
 
 # -- skew policy (unit) ------------------------------------------------------
 
@@ -470,6 +479,57 @@ class TestHedgingBehaviour:
                         break
                     await asyncio.sleep(0.01)
                 assert any(map(_peer_closed, slow.front._conn_writers))
+
+        asyncio.run(main())
+
+    def test_sibling_at_least_as_loaded_gets_no_hedge(self):
+        """A hedge onto a sibling carrying as many calls as the primary
+        would queue a duplicate synthesis behind its own work: the slow
+        primary answers instead."""
+        async def main():
+            async with attached_router(
+                    2, hedge_floor_ms=30) as (router, backends, client):
+                scene_id = (await client.register_scene(
+                    SCENE))["scene_id"]
+                await client.complete(scene_id, n=6)
+                primary, sibling = router._candidates(scene_id)
+                _make_slow(backends[_primary_index(router, backends,
+                                                   scene_id)], 300)
+                sibling.inflight += 1       # one call in flight there too
+                try:
+                    served = await client.complete(scene_id, n=7)
+                finally:
+                    sibling.inflight -= 1
+                assert served["snippets"]
+                assert router.hedges == 0
+
+        asyncio.run(main())
+
+    def test_primary_answering_other_calls_gets_no_hedge(self):
+        """A primary that keeps answering is busy, not stalled: the
+        attempt waits on it past the hedge delay."""
+        async def main():
+            async with attached_router(
+                    2, hedge_floor_ms=30) as (router, backends, client):
+                scene_id = (await client.register_scene(
+                    SCENE))["scene_id"]
+                await client.complete(scene_id, n=6)
+                primary = router._candidates(scene_id)[0]
+                _make_slow(backends[_primary_index(router, backends,
+                                                   scene_id)], 300)
+
+                async def answering():
+                    while True:
+                        await asyncio.sleep(0.01)
+                        primary.answered += 1
+
+                ticker = asyncio.ensure_future(answering())
+                try:
+                    served = await client.complete(scene_id, n=7)
+                finally:
+                    ticker.cancel()
+                assert served["snippets"]
+                assert router.hedges == 0
 
         asyncio.run(main())
 

@@ -471,6 +471,51 @@ class TestSnapshotPersistence:
 
         asyncio.run(main())
 
+    def test_adopt_snapshot_merges_a_siblings_results_for_held_scenes(
+            self, tmp_path):
+        # The router's backend layout: <dir>/<backend id>.snapshot.
+        async def sibling_life():
+            async with running_server(snapshot_path=str(
+                    tmp_path / "b0.snapshot")) as (server, client):
+                served = {text: await client.complete(scene=text)
+                          for text in (SCENE, OTHER_SCENE)}
+            return served
+
+        async def adopter_life(served):
+            async with running_server(snapshot_path=str(
+                    tmp_path / "b1.snapshot")) as (server, client):
+                scene_id = (await client.register_scene(
+                    SCENE))["scene_id"]
+                adopted = await client.adopt_snapshot("b0")
+                # Only the scene this server holds: OTHER_SCENE's entry
+                # stays behind.
+                assert adopted == {"v": adopted["v"], "ok": True,
+                                   "peer": "b0", "restored": 1}
+                warm = await client.complete(scene_id)
+                assert warm["cache_hit"] is True
+                assert warm["snippets"] == served[SCENE]["snippets"]
+                assert (await client.adopt_snapshot("b9"))["restored"] == 0
+                stats = await client.stats()
+                assert stats["engine"]["snapshot"]["adopted"] == 1
+
+        asyncio.run(adopter_life(asyncio.run(sibling_life())))
+
+    def test_adopt_snapshot_refuses_paths_and_snapshotless_servers(
+            self, tmp_path):
+        async def main():
+            async with running_server(snapshot_path=str(
+                    tmp_path / "b1.snapshot")) as (server, client):
+                for peer in ("../b0", "sub/b0", ".hidden", ""):
+                    with pytest.raises(ServerError) as error:
+                        await client.adopt_snapshot(peer)
+                    assert error.value.code == "bad_request"
+            async with running_server() as (server, client):
+                with pytest.raises(ServerError) as error:
+                    await client.adopt_snapshot("b0")
+                assert error.value.code == "bad_request"
+
+        asyncio.run(main())
+
     def test_corrupt_snapshot_starts_cold_not_dead(self, tmp_path):
         snapshot = tmp_path / "results.snapshot"
         snapshot.write_bytes(b"garbage")
