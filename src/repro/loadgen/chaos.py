@@ -19,10 +19,13 @@ fault modes:
 
 Everything interesting happens in the serving stack; the driver's
 recovery phase plus the SLO gates assert it all from the outside.
+:func:`await_recovery` is the one wait for that recovery, shared by the
+load driver and ``python -m repro.server.smoke``.
 """
 
 from __future__ import annotations
 
+import asyncio
 import os
 import random
 import signal
@@ -31,6 +34,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core.errors import ReproError
+from repro.server.client import (AsyncCompletionClient, ClientConnectionError,
+                                 ServerError)
 
 
 class ChaosError(ReproError):
@@ -41,16 +46,18 @@ class ChaosError(ReproError):
 class ChaosPlan:
     """When and how hard to strike.
 
-    ``at_fraction`` positions the kill inside the chaos-eligible phase
-    (0.5 = halfway through its events) so the burst is genuinely
-    mid-flight; ``kills`` > 1 strikes repeatedly, evenly spaced over the
-    remaining events.  ``mode`` picks the fault: ``kill`` (SIGKILL, the
-    crash PR 8 conquered) or ``slow`` (SIGSTOP for ``stall_s`` seconds,
-    the gray failure — ``kills`` then counts stalls).
+    The first strike lands ``AT_FRACTION`` of the way through the
+    chaos-eligible phase's events, so the burst is genuinely mid-flight;
+    ``kills`` > 1 strikes repeatedly, evenly spaced over the remaining
+    events.  ``mode`` picks the fault: ``kill`` (SIGKILL, a crash) or
+    ``slow`` (SIGSTOP for ``stall_s`` seconds, the gray failure —
+    ``kills`` then counts stalls).
     """
 
+    #: Where in the chaos phase the first strike lands (0.5 = halfway).
+    AT_FRACTION = 0.5
+
     kills: int = 1
-    at_fraction: float = 0.5
     seed: int = 2013
     mode: str = "kill"                      # "kill" | "slow"
     stall_s: float = 2.0                    # SIGSTOP hold (slow mode)
@@ -59,7 +66,7 @@ class ChaosPlan:
         """Event indices (within the chaos phase) that trigger a strike."""
         if self.kills < 1 or events_in_phase < 1:
             return []
-        first = min(int(self.at_fraction * events_in_phase),
+        first = min(int(self.AT_FRACTION * events_in_phase),
                     events_in_phase - 1)
         if self.kills == 1:
             return [first]
@@ -281,3 +288,33 @@ class ChaosOutcome:
                                      self.journal_scenes)
         doc.update(self.extra)
         return doc
+
+
+async def await_recovery(client: AsyncCompletionClient, *,
+                         min_restarts: int = 0, timeout_s: float = 30.0
+                         ) -> tuple[bool, Optional[dict]]:
+    """Poll ``/healthz`` until the topology has recovered from a strike.
+
+    Recovered means the backends' restart counts add up to at least
+    *min_restarts* and every backend reports healthy.  Respawns (and a
+    stalled backend's rejoin) happen in the background on the router, so
+    a chaos driver waits for them rather than assume the first answer
+    after a strike implies recovery.  Returns whether that happened
+    within *timeout_s*, and the last ``/healthz`` document read (``None``
+    if none was); an unreachable front door ends the wait at once.
+    """
+    deadline = time.monotonic() + timeout_s
+    health: Optional[dict] = None
+    while True:
+        try:
+            health = await client.healthz()
+        except (ClientConnectionError, ServerError):
+            return False, health
+        backends = health.get("backends") or []
+        if (sum(backend.get("restarts", 0) for backend in backends)
+                >= min_restarts
+                and all(backend.get("healthy") for backend in backends)):
+            return True, health
+        if time.monotonic() >= deadline:
+            return False, health
+        await asyncio.sleep(0.05)

@@ -16,7 +16,8 @@ uses — so whatever it measures is what a real editor fleet would see:
   backoff (:func:`~repro.server.client.jittered_backoff_s` — a
   deterministic backoff would march the whole simulated fleet back in
   lockstep) and counted as ``retries`` — only exhausted retries burn
-  error budget;
+  error budget.  This is the stack's one 429 retry loop: the client
+  raises every 429 at once;
 * ``degraded: true`` answers (the router's last-known-good fallback
   when every replica of a scene is down) count as successes but are
   tallied separately, so a chaos run can assert exactly how much
@@ -36,7 +37,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.loadgen.chaos import ChaosController, ChaosOutcome, ChaosPlan
+from repro.loadgen.chaos import (ChaosController, ChaosOutcome, ChaosPlan,
+                                 await_recovery)
 from repro.loadgen.slo import SloAccountant
 from repro.loadgen.traces import Trace, TraceEvent
 from repro.server.client import (AsyncCompletionClient, ClientConnectionError,
@@ -44,25 +46,28 @@ from repro.server.client import (AsyncCompletionClient, ClientConnectionError,
                                  SceneNotFoundError, ServerError,
                                  jittered_backoff_s, wait_until_healthy)
 
+#: Per-request timeout of the driver's client.
+REQUEST_TIMEOUT_S = 120.0
+#: Cap on concurrently in-flight requests (open-loop phases); keeps a
+#: slow topology from accumulating unbounded tasks.
+MAX_IN_FLIGHT = 128
+#: Admission-control (429) retries per request before it counts against
+#: the error budget; the delay before retry *k* is drawn uniformly from
+#: ``[0, min(OVERLOAD_BACKOFF_CAP_S, OVERLOAD_BACKOFF_S * 2**k)]``.
+OVERLOAD_RETRIES = 4
+OVERLOAD_BACKOFF_S = 0.05
+OVERLOAD_BACKOFF_CAP_S = 2.0
+
 
 @dataclass
 class DriverConfig:
-    """How to replay: where, how fast, and how hard to push."""
+    """How to replay: where, how fast, and how hard to push — what
+    ``repro loadgen`` sets."""
 
     host: str = "127.0.0.1"
     port: int = 8787
     #: Multiplies every trace timestamp (0.5 = replay twice as fast).
     time_scale: float = 1.0
-    request_timeout: float = 120.0
-    #: Cap on concurrently in-flight requests (open-loop phases); keeps
-    #: a slow topology from accumulating unbounded tasks.
-    max_in_flight: int = 128
-    #: Admission-control (429) retries per request before it counts
-    #: against the error budget; the delay before retry *k* is drawn
-    #: uniformly from ``[0, min(cap, base * 2**k)]`` (full jitter).
-    overload_retries: int = 4
-    overload_backoff_s: float = 0.05
-    overload_backoff_cap_s: float = 2.0
     chaos: Optional[ChaosPlan] = None
     #: Client-stamped end-to-end deadline (and budget) per completion.
     #: ``None`` replays without deadlines — the pre-PR-9 behaviour.  A
@@ -140,10 +145,10 @@ async def _execute(event: TraceEvent, trace: Trace,
                                         f"bad_op:{event.op}")
             return
         except OverloadedError:
-            if retries < config.overload_retries:
+            if retries < OVERLOAD_RETRIES:
                 await asyncio.sleep(jittered_backoff_s(
-                    retries, base=config.overload_backoff_s,
-                    cap=config.overload_backoff_cap_s))
+                    retries, base=OVERLOAD_BACKOFF_S,
+                    cap=OVERLOAD_BACKOFF_CAP_S))
                 retries += 1
                 continue
             accountant.record_error(event.phase, "overloaded",
@@ -198,7 +203,7 @@ async def _run_open_phase(phase_name: str, events: List[TraceEvent],
                           controller: Optional[ChaosController],
                           kill_indices: List[int]) -> None:
     loop = asyncio.get_running_loop()
-    in_flight = asyncio.Semaphore(config.max_in_flight)
+    in_flight = asyncio.Semaphore(MAX_IN_FLIGHT)
     tasks: List[asyncio.Task] = []
     phase_start = loop.time()
 
@@ -242,24 +247,6 @@ async def _run_closed_phase(events: List[TraceEvent], workers: int,
     await asyncio.gather(*(_worker() for _ in range(max(1, workers))))
 
 
-async def _await_chaos_recovery(client: AsyncCompletionClient, kills: int,
-                                *, timeout_s: float = 30.0) -> None:
-    """Poll ``/healthz`` until every kill has respawned and all backends
-    report healthy, or the window closes (the report judges failure)."""
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        try:
-            health = await client.healthz()
-        except (ClientConnectionError, ServerError):
-            return                          # front door gone; report judges
-        backends = health.get("backends") or []
-        restarts = sum(backend.get("restarts", 0) for backend in backends)
-        if restarts >= kills and all(backend.get("healthy")
-                                     for backend in backends):
-            return
-        await asyncio.sleep(0.1)
-
-
 async def replay_trace(trace: Trace, config: DriverConfig) -> ReplayResult:
     """Replay every phase of *trace*, in order, against the topology."""
     accountant = SloAccountant()
@@ -269,7 +256,7 @@ async def replay_trace(trace: Trace, config: DriverConfig) -> ReplayResult:
     started = time.perf_counter()
     async with AsyncCompletionClient(
             config.host, config.port,
-            timeout=config.request_timeout) as client:
+            timeout=REQUEST_TIMEOUT_S) as client:
         await wait_until_healthy(client)
         for phase in trace.phases:
             events = trace.events_for(phase.name)
@@ -302,7 +289,7 @@ async def replay_trace(trace: Trace, config: DriverConfig) -> ReplayResult:
             # first (idempotent belt-and-braces over the scheduled
             # SIGCONT) and recover by turning healthy, not restarting.
             controller.resume_all()
-            await _await_chaos_recovery(client, controller.kills)
+            await await_recovery(client, min_restarts=controller.kills)
 
         stats: Optional[dict] = None
         healthz: Optional[dict] = None

@@ -7,8 +7,9 @@ small keep-alive connection pool, so ``asyncio.gather`` over many
 
 Server-side failures surface as typed exceptions keyed by the protocol's
 error codes: :class:`OverloadedError` (admission control said 429 — back
-off and retry), :class:`SceneNotFoundError` (the scene id was evicted —
-re-register), :class:`ServerError` (everything else), and
+off and retry; the load driver does, behind :func:`jittered_backoff_s`),
+:class:`SceneNotFoundError` (the scene id was evicted — re-register),
+:class:`ServerError` (everything else), and
 :class:`ClientConnectionError` for transport failures.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 import asyncio
 import json
 import random
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import hashlib
 
@@ -105,33 +106,24 @@ def _error_for(payload: dict, status: int) -> ServerError:
 
 
 class AsyncCompletionClient:
-    """Talks the server's JSON protocol; safe for concurrent use."""
+    """Talks the server's JSON protocol; safe for concurrent use.
+
+    A 429 raises :class:`OverloadedError` at once: the client never
+    retries it, so a caller's own backoff is the only one in play.
+    """
+
+    #: Keep-alive connections kept open for reuse; more are closed
+    #: after their response.
+    MAX_IDLE_CONNECTIONS = 32
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8777, *,
-                 timeout: float = 60.0, max_idle_connections: int = 32,
-                 overload_retries: int = 0,
-                 backoff_base_s: float = 0.05, backoff_cap_s: float = 2.0,
-                 rng: Optional[random.Random] = None,
-                 sleep: Callable[[float], Any] = asyncio.sleep):
+                 timeout: float = 60.0):
         self.host = host
         self.port = port
         self.timeout = timeout
         self._idle: list[tuple[asyncio.StreamReader,
                                asyncio.StreamWriter]] = []
-        self._max_idle = max_idle_connections
         self._closed = False
-        #: 429 handling: with ``overload_retries`` > 0 an
-        #: :class:`OverloadedError` is retried up to that many times
-        #: behind :func:`jittered_backoff_s` (full-jitter exponential
-        #: over ``backoff_base_s``..``backoff_cap_s``).  Admission
-        #: rejection happens before any work, so the retry is always
-        #: safe.  ``rng`` and ``sleep`` are injectable for deterministic
-        #: tests.
-        self.overload_retries = overload_retries
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self._rng = rng
-        self._sleep = sleep
         #: text digest -> scene id, for :meth:`complete_text`'s
         #: register-once / re-register-on-eviction discipline.
         self._scene_ids: dict[str, str] = {}
@@ -170,20 +162,6 @@ class AsyncCompletionClient:
 
     async def _request(self, method: str, path: str,
                        payload: Optional[dict] = None) -> dict:
-        attempt = 0
-        while True:
-            try:
-                return await self._request_once(method, path, payload)
-            except OverloadedError:
-                if attempt >= self.overload_retries:
-                    raise
-                await self._sleep(jittered_backoff_s(
-                    attempt, base=self.backoff_base_s,
-                    cap=self.backoff_cap_s, rng=self._rng))
-                attempt += 1
-
-    async def _request_once(self, method: str, path: str,
-                            payload: Optional[dict] = None) -> dict:
         if self._closed:
             raise ClientConnectionError("client is closed")
         # Requests carry the protocol version (the server rejects a
@@ -222,7 +200,7 @@ class AsyncCompletionClient:
                     f"request {method} {path} failed: {exc}") from exc
             finally:
                 if reuse and not self._closed and \
-                        len(self._idle) < self._max_idle:
+                        len(self._idle) < self.MAX_IDLE_CONNECTIONS:
                     self._idle.append((reader, writer))
                 else:
                     # Not poolable (close-marked, pool full, or client

@@ -211,31 +211,38 @@ class HttpFront:
     stream reports its chunk count to *on_stream*.
     """
 
+    #: Idle/read timeout per request on a connection: a half-sent
+    #: request (or an idle keep-alive socket) releases its handler task
+    #: and fd after this many seconds instead of pinning them forever.
+    #: The client's stale-pool retry makes idle closes transparent.
+    READ_TIMEOUT_S = 60.0
+
     def __init__(self, routes: dict,
                  complete_one: Callable[..., Awaitable[dict]], *,
-                 read_timeout: float, requests: Counter, errors: Counter,
+                 requests: Counter, errors: Counter,
                  on_stream: Callable[[int], None] = lambda chunks: None):
         self._complete_one = complete_one
         self.routes = {**routes,
                        ("POST", "/v1/complete"): self._complete,
                        ("POST", "/v1/complete-batch"): self._complete_batch}
         self._paths = frozenset(path for _method, path in self.routes)
-        self._read_timeout = read_timeout
         self.requests = requests
         self.errors = errors
         self._on_stream = on_stream
         self._server: Optional[asyncio.base_events.Server] = None
-        #: Live accepted connections, severed on close() — a closed
-        #: front must look *gone* (keep-alive sockets included), the way
-        #: a killed process does, not just stop listening.
+        #: Live accepted connections and their handler tasks, severed
+        #: and ended on close() — a closed front must look *gone*
+        #: (keep-alive sockets included), the way a killed process does,
+        #: not just stop listening.
         self._conn_writers: set[asyncio.StreamWriter] = set()
+        self._handlers: set[asyncio.Task] = set()
 
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self, host: str, port: int) -> tuple[str, int]:
         """Listen on *host*:*port* (0 = ephemeral); return the address."""
         self._server = await asyncio.start_server(
-            self._serve_connection, host=host, port=port)
+            self._accept, host=host, port=port)
         sockname = self._server.sockets[0].getsockname()
         return sockname[0], sockname[1]
 
@@ -244,11 +251,14 @@ class HttpFront:
         await self._server.serve_forever()
 
     async def close(self) -> None:
-        """Stop listening and sever every accepted connection.
+        """Stop listening, sever every accepted connection and end its
+        handler.
 
         Connections close *before* ``wait_closed()``, which on Python >=
         3.12.1 waits for them: an idle keep-alive client would otherwise
-        hold shutdown for the full read timeout.
+        hold shutdown for the full read timeout.  The handlers end here
+        too, mid-request ones included (their reply has no socket left
+        to go to), so none is left for the event loop to cancel at exit.
         """
         server, self._server = self._server, None
         if server is None:
@@ -256,19 +266,35 @@ class HttpFront:
         server.close()
         for writer in list(self._conn_writers):
             writer.close()
+        handlers = list(self._handlers)
+        for task in handlers:
+            task.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
         await server.wait_closed()
 
     # -- the connection loop -------------------------------------------------
 
+    def _accept(self, reader: asyncio.StreamReader,
+                writer: asyncio.StreamWriter) -> None:
+        """Serve a new connection on a task this front owns.
+
+        A coroutine callback would run on a task owned by the stream
+        protocol instead, which Python 3.11 reports with a traceback
+        whenever it ends cancelled.
+        """
+        self._conn_writers.add(writer)
+        task = asyncio.ensure_future(self._serve_connection(reader, writer))
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
+
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
-        self._conn_writers.add(writer)
         try:
             # A connection accepted while close() runs ends at once.
             while self._server is not None:
                 try:
                     request = await asyncio.wait_for(
-                        read_http_request(reader), self._read_timeout)
+                        read_http_request(reader), self.READ_TIMEOUT_S)
                 except asyncio.TimeoutError:
                     break                   # idle or half-sent: reclaim
                 except _HttpError as error:

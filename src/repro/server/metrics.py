@@ -70,7 +70,10 @@ class LatencyWindow:
 class ServerMetrics:
     """Counters for one :class:`~repro.server.server.AsyncCompletionServer`."""
 
-    def __init__(self, latency_window: int = 2048):
+    #: Most recent samples each latency window keeps.
+    LATENCY_WINDOW = 2048
+
+    def __init__(self):
         self.started = time.time()
         self._started_monotonic = time.monotonic()
         self.requests = Counter()          # per endpoint
@@ -97,9 +100,9 @@ class ServerMetrics:
         #: "complete" = every served query; "warm" = hits + coalesced;
         #: "synthesis" = executor wall-clock of actual pipeline runs.
         self.latency = {
-            "complete": LatencyWindow(latency_window),
-            "warm": LatencyWindow(latency_window),
-            "synthesis": LatencyWindow(latency_window),
+            "complete": LatencyWindow(self.LATENCY_WINDOW),
+            "warm": LatencyWindow(self.LATENCY_WINDOW),
+            "synthesis": LatencyWindow(self.LATENCY_WINDOW),
         }
 
     def enter_queue(self) -> None:

@@ -698,7 +698,12 @@ def _spawn_serve_process(snapshot_path: Optional[str],
 
 @dataclass(frozen=True)
 class RouterConfig:
-    """Knobs for one :class:`CompletionRouter`."""
+    """What ``repro route`` sets for one :class:`CompletionRouter`.
+
+    Every field has a ``repro route`` flag; the tunables no flag reaches
+    (timeouts, breakers, retry budget, hedging, ejection, rebalancing)
+    are constants on :class:`CompletionRouter`.
+    """
 
     host: str = "127.0.0.1"
     port: int = 8787                        # 0 = ephemeral
@@ -720,57 +725,10 @@ class RouterConfig:
     #: Extra ``repro serve`` arguments for managed backends
     #: (e.g. ``("--max-scenes", "8")``).
     backend_args: tuple = ()
-    #: Per-request timeout towards backends.
-    request_timeout: float = 120.0
-    read_timeout: float = 60.0
     #: Distinct ring owners per scene (clamped to the live backend
     #: count).  R=2 means one SIGKILL never stalls a scene: a sibling
     #: replica already holds it.
     replication: int = 2
-    #: Consecutive connection failures that open a backend's breaker.
-    breaker_failures: int = 5
-    #: Cooldown before an open breaker admits a half-open probe.
-    breaker_reset_s: float = 2.0
-    #: Retry tokens earned per incoming request (≤ this fraction of
-    #: traffic can be failover retries) and the bucket's burst cap.
-    retry_budget_ratio: float = 0.2
-    retry_budget_burst: float = 10.0
-    #: Last-known-good completion cache entries kept for degraded
-    #: answers when every replica of a scene is down.
-    lkg_entries: int = 512
-    #: Supervisor sweep period: how often dead managed processes are
-    #: re-kicked and unhealthy attached backends probed.
-    supervise_interval_s: float = 0.25
-    #: Hedged retries: when the first attempt outlives
-    #: ``hedge_factor`` × its backend's windowed p95 (floored at
-    #: ``hedge_floor_ms`` so a cold window cannot hedge instantly), one
-    #: budgeted hedge fires to the next live sibling replica.  Hedges
-    #: spend the same retry-budget token bucket as failovers, so hedge
-    #: amplification is bounded by ``retry_budget_ratio`` by
-    #: construction.  ``hedge_factor=0`` disables hedging.
-    hedge_factor: float = 2.0
-    hedge_floor_ms: int = 50
-    #: Latency outlier ejection: a backend whose windowed p95 exceeds
-    #: ``eject_multiplier`` × the cohort median (both sides needing at
-    #: least ``eject_min_samples`` window samples) is demoted in
-    #: candidate ordering like a half-open breaker; after
-    #: ``eject_reset_s`` it rejoins with a cleared window.
-    eject_multiplier: float = 3.0
-    eject_min_samples: int = 16
-    eject_reset_s: float = 5.0
-    #: Sustained-skew rebalancing: when the hottest backend's
-    #: supervisor-sampled inflight EWMA exceeds
-    #: ``rebalance_skew_ratio`` × the coldest's *and* the absolute gap
-    #: is at least ``rebalance_min_gap``, continuously for
-    #: ``rebalance_dwell_s`` seconds, up to ``rebalance_max_scenes`` of
-    #: the hottest backend's busiest scenes are re-homed onto the
-    #: coldest owner (journal re-teach + sticky-session re-home).
-    #: ``rebalance_dwell_s=0`` disables the automatic policy; the
-    #: ``rebalance`` admin action still triggers one pass on demand.
-    rebalance_skew_ratio: float = 3.0
-    rebalance_min_gap: float = 4.0
-    rebalance_dwell_s: float = 10.0
-    rebalance_max_scenes: int = 8
 
 
 def check_config(config: RouterConfig, *,
@@ -801,33 +759,6 @@ def check_config(config: RouterConfig, *,
     if config.replication < 1:
         problems.append(f"--replication must be at least 1, "
                         f"got {config.replication}")
-    if not 0.0 <= config.retry_budget_ratio <= 1.0:
-        problems.append(f"retry budget ratio must be within [0, 1], "
-                        f"got {config.retry_budget_ratio}")
-    if config.breaker_failures < 1:
-        problems.append(f"breaker failure threshold must be at least 1, "
-                        f"got {config.breaker_failures}")
-    if config.hedge_factor < 0:
-        problems.append(f"hedge factor must be non-negative, "
-                        f"got {config.hedge_factor}")
-    if config.hedge_floor_ms < 0:
-        problems.append(f"hedge floor must be non-negative, "
-                        f"got {config.hedge_floor_ms}")
-    if config.eject_multiplier < 1.0:
-        problems.append(f"eject multiplier must be at least 1, "
-                        f"got {config.eject_multiplier}")
-    if config.eject_min_samples < 1:
-        problems.append(f"eject min samples must be at least 1, "
-                        f"got {config.eject_min_samples}")
-    if config.rebalance_skew_ratio < 1.0:
-        problems.append(f"rebalance skew ratio must be at least 1, "
-                        f"got {config.rebalance_skew_ratio}")
-    if config.rebalance_dwell_s < 0:
-        problems.append(f"rebalance dwell must be non-negative, "
-                        f"got {config.rebalance_dwell_s}")
-    if config.rebalance_max_scenes < 1:
-        problems.append(f"rebalance max scenes must be at least 1, "
-                        f"got {config.rebalance_max_scenes}")
     if config.attach and config.snapshot_dir is not None:
         problems.append("--snapshot-dir only applies to managed backends "
                         "(drop it or drop --attach)")
@@ -883,7 +814,64 @@ def check_config(config: RouterConfig, *,
 
 
 class CompletionRouter:
-    """HTTP/JSON front door that shards scenes over backend servers."""
+    """HTTP/JSON front door that shards scenes over backend servers.
+
+    The class constants are the tunables no ``repro route`` flag sets.
+    """
+
+    #: Per-attempt timeout towards a backend, before any deadline clamp.
+    REQUEST_TIMEOUT_S = 120.0
+    #: Consecutive connection failures that open a backend's breaker,
+    #: and the cooldown before an open breaker admits a half-open probe.
+    BREAKER_FAILURES = 5
+    BREAKER_RESET_S = 2.0
+    #: Retry tokens earned per incoming request (at most this fraction
+    #: of traffic can be failover or hedge retries) and the bucket's
+    #: burst cap.
+    RETRY_BUDGET_RATIO = 0.2
+    RETRY_BUDGET_BURST = 10.0
+    #: Last-known-good completions kept for degraded answers when every
+    #: replica of a scene is down.
+    LKG_ENTRIES = 512
+    #: Supervisor sweep period: how often dead managed processes are
+    #: re-kicked and unhealthy attached backends probed.
+    SUPERVISE_INTERVAL_S = 0.25
+    #: Hedged retries: when the first attempt outlives ``HEDGE_FACTOR`` ×
+    #: its backend's windowed p95 (floored at ``HEDGE_FLOOR_MS`` so a
+    #: cold window cannot hedge instantly), one budgeted hedge fires to
+    #: the next live sibling replica.  Hedges spend the retry budget's
+    #: bucket, so hedge amplification is bounded by
+    #: ``RETRY_BUDGET_RATIO`` by construction.  0 disables hedging.
+    HEDGE_FACTOR = 2.0
+    HEDGE_FLOOR_MS = 50
+    #: Latency outlier ejection: a backend whose windowed p95 exceeds
+    #: ``EJECT_MULTIPLIER`` × the cohort median (both sides needing at
+    #: least ``EJECT_MIN_SAMPLES`` window samples) is demoted in
+    #: candidate ordering like a half-open breaker; after
+    #: ``EJECT_RESET_S`` it rejoins with a cleared window.
+    EJECT_MULTIPLIER = 3.0
+    EJECT_MIN_SAMPLES = 16
+    EJECT_RESET_S = 5.0
+    #: Sustained-skew rebalancing: when the hottest backend's
+    #: supervisor-sampled inflight EWMA exceeds ``REBALANCE_SKEW_RATIO``
+    #: × the coldest's *and* the absolute gap is at least
+    #: ``REBALANCE_MIN_GAP``, continuously for ``REBALANCE_DWELL_S``
+    #: seconds, up to ``REBALANCE_MAX_SCENES`` of the hottest backend's
+    #: busiest scenes are re-homed onto the coldest owner (journal
+    #: re-teach + sticky-session re-home).  A dwell of 0 disables the
+    #: automatic policy; the ``rebalance`` admin action still triggers
+    #: one pass on demand.
+    REBALANCE_SKEW_RATIO = 3.0
+    REBALANCE_MIN_GAP = 4.0
+    REBALANCE_DWELL_S = 10.0
+    REBALANCE_MAX_SCENES = 8
+    #: Supervisor-sample smoothing for per-backend inflight load.
+    LOAD_EWMA_ALPHA = 0.3
+    #: Most per-scene traffic counters kept; beyond this the cold half
+    #: is dropped (only the hot entries feed rebalance decisions).
+    MAX_SCENE_TRAFFIC = 4096
+    #: Most sticky edit-session homes kept (FIFO beyond this).
+    MAX_SESSION_HOMES = 1024
 
     def __init__(self, config: Optional[RouterConfig] = None):
         self.config = config or RouterConfig()
@@ -914,9 +902,9 @@ class CompletionRouter:
         #: dropped (the hot entries are the only ones rebalancing reads).
         self._scene_traffic: Counter = Counter()
         self._skew_since: Optional[float] = None    # monotonic dwell clock
-        self.retry_budget = RetryBudget(self.config.retry_budget_ratio,
-                                        self.config.retry_budget_burst)
-        self.lkg = LastKnownGood(self.config.lkg_entries)
+        self.retry_budget = RetryBudget(self.RETRY_BUDGET_RATIO,
+                                        self.RETRY_BUDGET_BURST)
+        self.lkg = LastKnownGood(self.LKG_ENTRIES)
         self._respawn_tasks: dict[str, asyncio.Task] = {}
         #: backend id -> snapshot adoptions in flight into it; a read
         #: routed there waits for them (see :meth:`_begin_takeover`).
@@ -940,8 +928,7 @@ class CompletionRouter:
             ("POST", "/v1/adopt-snapshot"): self._refuse_adopt,
             ("GET", "/v1/admin/backends"): self._admin_list_payload,
             ("POST", "/v1/admin/backends"): self._handle_admin,
-        }, self._complete_one, read_timeout=self.config.read_timeout,
-            requests=self.requests, errors=self.errors)
+        }, self._complete_one, requests=self.requests, errors=self.errors)
         self.host = self.config.host
         self.port = self.config.port
 
@@ -1005,11 +992,11 @@ class CompletionRouter:
 
     def _client(self, host: str, port: int) -> AsyncCompletionClient:
         return AsyncCompletionClient(host, port,
-                                     timeout=self.config.request_timeout)
+                                     timeout=self.REQUEST_TIMEOUT_S)
 
     def _adopt_backend(self, backend: Backend) -> None:
-        backend.breaker = CircuitBreaker(self.config.breaker_failures,
-                                         self.config.breaker_reset_s)
+        backend.breaker = CircuitBreaker(self.BREAKER_FAILURES,
+                                         self.BREAKER_RESET_S)
         self.backends[backend.backend_id] = backend
         self.ring.add(backend.backend_id)
         self._respawn_locks[backend.backend_id] = asyncio.Lock()
@@ -1090,9 +1077,6 @@ class CompletionRouter:
                 self.errors["replay"] += 1   # scene text rotted; keep going
         self.replayed += replayed
         return replayed
-
-    #: Most sticky edit-session homes kept (FIFO beyond this).
-    MAX_SESSION_HOMES = 1024
 
     def _owner(self, scene_id: str) -> Backend:
         candidates = self._candidates(scene_id)
@@ -1204,7 +1188,7 @@ class CompletionRouter:
         failures are a supervision concern exactly like crashes.
         """
         while True:
-            await asyncio.sleep(self.config.supervise_interval_s)
+            await asyncio.sleep(self.SUPERVISE_INTERVAL_S)
             for backend in list(self.backends.values()):
                 if backend.managed:
                     if backend.process.poll() is not None:
@@ -1223,9 +1207,9 @@ class CompletionRouter:
         """Demote latency outliers; readmit served-out ejections.
 
         A backend whose windowed p95 detaches from the cohort median by
-        ``eject_multiplier`` is marked ejected — candidate ordering then
+        ``EJECT_MULTIPLIER`` is marked ejected — candidate ordering then
         treats it like a half-open breaker (last resort, not first
-        choice).  After ``eject_reset_s`` the mark clears and the
+        choice).  After ``EJECT_RESET_S`` the mark clears and the
         latency window resets, so readmission is judged on post-recovery
         samples only.  Pure function of tracker state + *now*: unit
         tests drive it directly with fabricated samples and clocks.
@@ -1235,13 +1219,13 @@ class CompletionRouter:
             if not backend.ejected:
                 continue
             assert backend.ejected_at is not None
-            if now - backend.ejected_at >= self.config.eject_reset_s:
+            if now - backend.ejected_at >= self.EJECT_RESET_S:
                 backend.ejected = False
                 backend.ejected_at = None
                 backend.latency.reset()
         if len(backends) < 2:
             return
-        minimum = self.config.eject_min_samples
+        minimum = self.EJECT_MIN_SAMPLES
         for backend in backends:
             if backend.ejected:
                 continue
@@ -1256,16 +1240,10 @@ class CompletionRouter:
             if mine is None or not cohort:
                 continue
             median = cohort[len(cohort) // 2]
-            if median > 0 and mine > self.config.eject_multiplier * median:
+            if median > 0 and mine > self.EJECT_MULTIPLIER * median:
                 backend.ejected = True
                 backend.ejected_at = now
                 self.ejections += 1
-
-    #: Supervisor-sample smoothing for per-backend inflight load.
-    LOAD_EWMA_ALPHA = 0.3
-    #: Most per-scene traffic counters kept; beyond this the cold half
-    #: is dropped (only the hot entries feed rebalance decisions).
-    MAX_SCENE_TRAFFIC = 4096
 
     def _note_scene_traffic(self, scene_id: str) -> None:
         self._scene_traffic[scene_id] += 1
@@ -1285,14 +1263,14 @@ class CompletionRouter:
         coldest = min(live, key=lambda b: b.load_ewma)
         gap = hottest.load_ewma - coldest.load_ewma
         ratio_ok = (hottest.load_ewma
-                    > self.config.rebalance_skew_ratio * coldest.load_ewma)
-        if ratio_ok and gap >= self.config.rebalance_min_gap:
+                    > self.REBALANCE_SKEW_RATIO * coldest.load_ewma)
+        if ratio_ok and gap >= self.REBALANCE_MIN_GAP:
             return hottest, coldest
         return None
 
     async def _sweep_rebalance(self, now: float) -> None:
         """One tick of the sustained-skew policy (dwell-gated)."""
-        if self.config.rebalance_dwell_s <= 0:
+        if self.REBALANCE_DWELL_S <= 0:
             return
         for backend in self.backends.values():
             backend.load_ewma = (
@@ -1305,13 +1283,13 @@ class CompletionRouter:
         if self._skew_since is None:
             self._skew_since = now
             return
-        if now - self._skew_since < self.config.rebalance_dwell_s:
+        if now - self._skew_since < self.REBALANCE_DWELL_S:
             return
         await self._rebalance_once(*pair)
 
     async def _rebalance_once(self, hot: "Backend",
                               cold: "Backend") -> dict:
-        """Re-home up to ``rebalance_max_scenes`` of *hot*'s busiest
+        """Re-home up to ``REBALANCE_MAX_SCENES`` of *hot*'s busiest
         scenes onto *cold*.
 
         Reuses the machinery every other recovery path already trusts:
@@ -1323,7 +1301,7 @@ class CompletionRouter:
         """
         moved: list[str] = []
         for scene_id, _hits in self._scene_traffic.most_common():
-            if len(moved) >= self.config.rebalance_max_scenes:
+            if len(moved) >= self.REBALANCE_MAX_SCENES:
                 break
             candidates = self._candidates(scene_id)
             if not candidates:
@@ -1573,10 +1551,10 @@ class CompletionRouter:
                 code="deadline_exceeded")
 
     def _attempt_timeout_s(self, deadline_at: Optional[float]) -> float:
-        """Per-attempt timeout: ``min(request_timeout, remaining)``."""
+        """Per-attempt timeout: ``min(REQUEST_TIMEOUT_S, remaining)``."""
         if deadline_at is None:
-            return self.config.request_timeout
-        return min(self.config.request_timeout,
+            return self.REQUEST_TIMEOUT_S
+        return min(self.REQUEST_TIMEOUT_S,
                    max(deadline_at - time.monotonic(), 0.0))
 
     async def _complete_one(self, request: CompleteRequest,
@@ -1661,7 +1639,7 @@ class CompletionRouter:
                              deadline_at: Optional[float]):
         """One replica attempt under the budget-clamped timeout.
 
-        The clamp is ``min(request_timeout, remaining_budget)`` — a
+        The clamp is ``min(REQUEST_TIMEOUT_S, remaining_budget)`` — a
         SIGSTOP'd backend can hold an attempt for at most the smaller
         of the two, never the flat 120 s.  A cut attempt still records
         its elapsed time into the backend's latency window (slowness
@@ -1692,17 +1670,17 @@ class CompletionRouter:
                        deadline_at: Optional[float]) -> Optional[float]:
         """How long the first attempt may run before a hedge fires.
 
-        Percentile-derived — ``hedge_factor`` × the backend's windowed
-        p95, floored at ``hedge_floor_ms`` so an empty window cannot
+        Percentile-derived — ``HEDGE_FACTOR`` × the backend's windowed
+        p95, floored at ``HEDGE_FLOOR_MS`` so an empty window cannot
         hedge every request — and budget-bounded: with a live deadline
         the hedge fires no later than half the remaining budget, so the
         hedge itself still has budget to run in.  ``None`` = disabled.
         """
-        if self.config.hedge_factor <= 0:
+        if self.HEDGE_FACTOR <= 0:
             return None
         p95_ms = backend.latency.percentile(0.95)
-        delay = max(self.config.hedge_floor_ms / 1000.0,
-                    (p95_ms or 0.0) / 1000.0 * self.config.hedge_factor)
+        delay = max(self.HEDGE_FLOOR_MS / 1000.0,
+                    (p95_ms or 0.0) / 1000.0 * self.HEDGE_FACTOR)
         if deadline_at is not None:
             remaining = max(deadline_at - time.monotonic(), 0.0)
             delay = min(delay, remaining / 2)

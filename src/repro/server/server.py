@@ -73,19 +73,18 @@ EXECUTOR_THREADS = 4
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Knobs for one :class:`AsyncCompletionServer`."""
+    """What ``repro serve`` sets for one :class:`AsyncCompletionServer`.
+
+    Every field has a ``repro serve`` flag; the tunables no flag reaches
+    are constants (``AsyncCompletionServer.SHED_WATERMARK``,
+    ``ServerMetrics.LATENCY_WINDOW``, ``HttpFront.READ_TIMEOUT_S``).
+    """
 
     host: str = "127.0.0.1"
     port: int = 8777                       # 0 = ephemeral
     max_pending: int = 64                  # admission-control bound
     max_scenes: int = 32                   # registry LRU size
     default_deadline_ms: Optional[int] = None
-    latency_window: int = 2048
-    #: Idle/read timeout per request on a connection: a half-sent request
-    #: (or an idle keep-alive socket) releases its handler task and fd
-    #: after this many seconds instead of pinning them forever.  The
-    #: client's stale-pool retry makes idle closes transparent.
-    read_timeout: float = 60.0
     #: Result-cache snapshot file (``repro serve --snapshot``).  When set,
     #: the server restores the snapshot at startup (starting the replica
     #: warm) and re-saves it after syntheses and on shutdown — the
@@ -97,12 +96,6 @@ class ServerConfig:
     #: one pending save) — the right default for replica durability;
     #: raise it on write-heavy workloads where the snapshot file is big.
     snapshot_interval: float = 0.0
-    #: Soft admission watermark, as a fraction of ``max_pending``: once
-    #: the queue is this full, below-normal-priority requests (protocol
-    #: ``priority`` < 5) are shed with 429 while normal and high
-    #: priorities keep landing until the hard ceiling — under pressure
-    #: the interactive tier degrades last.
-    shed_watermark: float = 0.75
     #: Debug fault injection (``repro serve --inject-latency-ms``): every
     #: completion sleeps this long before serving.  Models a gray-failed
     #: backend — alive, answering, *slow* — for the chaos harness and
@@ -183,6 +176,13 @@ class _ResolvedCompletion:
 class AsyncCompletionServer:
     """HTTP/JSON front end over one :class:`CompletionEngine`."""
 
+    #: Soft admission watermark, as a fraction of ``max_pending``: once
+    #: the queue is this full, below-normal-priority requests (protocol
+    #: ``priority`` < 5) are shed with 429 while normal and high
+    #: priorities keep landing until the hard ceiling — under pressure
+    #: the interactive tier degrades last.
+    SHED_WATERMARK = 0.75
+
     def __init__(self, engine: Optional[CompletionEngine] = None,
                  config: Optional[ServerConfig] = None):
         self.config = config or ServerConfig()
@@ -198,7 +198,7 @@ class AsyncCompletionServer:
                      else RankingPipeline.empty()))
         if self.engine.scenes.max_entries < scene_capacity:
             self.engine.scenes.max_entries = scene_capacity
-        self.metrics = ServerMetrics(self.config.latency_window)
+        self.metrics = ServerMetrics()
         # Type-shedding on eviction is deferred to the executor (see
         # _scene_evicted) so a large intern-table trim never runs on the
         # event loop.
@@ -221,9 +221,8 @@ class AsyncCompletionServer:
             ("POST", "/v1/release-scene"): self._handle_release,
             ("POST", "/v1/edit-scene"): self._handle_edit,
             ("POST", "/v1/adopt-snapshot"): self._handle_adopt,
-        }, self._complete_one, read_timeout=self.config.read_timeout,
-            requests=self.metrics.requests, errors=self.metrics.errors,
-            on_stream=self.metrics.record_stream)
+        }, self._complete_one, requests=self.metrics.requests,
+            errors=self.metrics.errors, on_stream=self.metrics.record_stream)
         self.host = self.config.host
         self.port = self.config.port
         #: Snapshot persistence state (event-loop-only, like the caches):
@@ -659,7 +658,7 @@ class AsyncCompletionServer:
                 f"pending (limit {self.config.max_pending}); retry later",
                 code="overloaded")
         if priority is not None and priority < protocol.NORMAL_PRIORITY:
-            watermark = self.config.shed_watermark * self.config.max_pending
+            watermark = self.SHED_WATERMARK * self.config.max_pending
             if self.metrics.queue_depth >= watermark:
                 self.metrics.rejected_overload += 1
                 self.metrics.shed_low_priority += 1

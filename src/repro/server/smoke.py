@@ -74,6 +74,7 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.loadgen.chaos import await_recovery
 from repro.server.client import AsyncCompletionClient, wait_until_healthy
 from repro.server.router import HashRing, spawn_cli_server
 
@@ -120,28 +121,19 @@ def _stop(process: subprocess.Popen, host: str, port: int) -> Optional[str]:
 
 
 async def _await_recovery(client: AsyncCompletionClient, *,
-                          min_restarts: int,
-                          timeout_s: float = 30.0) -> int:
-    """Poll ``/healthz`` until every backend is healthy again.
-
-    Respawn is a *background* task on the router (the serving path fails
-    over to a sibling instead of blocking), so the smoke has to wait for
-    it rather than assume the first post-kill answer implies recovery.
-    Returns the total restart count.
-    """
-    deadline = time.monotonic() + timeout_s
-    while True:
-        health = await client.healthz()
-        restarts = sum(backend.get("restarts", 0)
-                       for backend in health["backends"])
-        if (restarts >= min_restarts
-                and all(backend["healthy"]
-                        for backend in health["backends"])):
-            return restarts
-        assert time.monotonic() < deadline, (
-            f"backends never recovered: restarts={restarts}, health="
-            f"{[(b['backend_id'], b['healthy']) for b in health['backends']]}")
-        await asyncio.sleep(0.05)
+                          min_restarts: int = 0,
+                          failure: str = "backends never recovered") -> int:
+    """Assert that every backend turns healthy with *min_restarts*
+    respawns behind it (:func:`await_recovery`); returns the total
+    restart count."""
+    recovered, health = await await_recovery(client,
+                                             min_restarts=min_restarts)
+    backends = (health or {}).get("backends") or []
+    restarts = sum(backend.get("restarts", 0) for backend in backends)
+    assert recovered, (
+        f"{failure}: restarts={restarts}, health="
+        f"{[(b['backend_id'], b['healthy']) for b in backends]}")
+    return restarts
 
 
 async def _chaos_burst(client: AsyncCompletionClient,
@@ -299,17 +291,8 @@ async def _slow_burst(client: AsyncCompletionClient,
 
     # Recovery: the victim never died, so zero respawns — it rejoins by
     # simply answering again once SIGCONT lands.
-    deadline = time.monotonic() + 30.0
-    while True:
-        health = await client.healthz()
-        if all(backend["healthy"] for backend in health["backends"]):
-            break
-        assert time.monotonic() < deadline, (
-            f"stalled backend never rejoined: "
-            f"{[(b['backend_id'], b['healthy']) for b in health['backends']]}")
-        await asyncio.sleep(0.05)
-    restarts = sum(backend.get("restarts", 0)
-                   for backend in health["backends"])
+    restarts = await _await_recovery(
+        client, failure="stalled backend never rejoined")
     assert restarts == restarts_before, (
         f"slow chaos must not respawn anything (the process never "
         f"died), saw {restarts - restarts_before} restart(s)")
@@ -744,6 +727,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         failure = f"{type(error).__name__}: {error}"
         raise
     finally:
+        # The step lines go out even when the drive failed: they show how
+        # far it got.
+        for line in report:
+            print(f"smoke: {line}")
         stalled = _stop(process, host, port)
         failure = "; ".join(filter(None, (failure, stalled))) or None
         if args.report:
@@ -757,8 +744,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             }
             Path(args.report).write_text(
                 json.dumps(artifact, indent=2) + "\n", encoding="utf-8")
-    for line in report:
-        print(f"smoke: {line}")
     if stalled:
         print(f"smoke: FAILED shutdown: {stalled}", file=sys.stderr)
         return 1

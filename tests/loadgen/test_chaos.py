@@ -12,7 +12,8 @@ from repro.loadgen.chaos import (ChaosController, ChaosError, ChaosOutcome,
 
 class TestKillIndices:
     def test_single_kill_lands_at_fraction(self):
-        plan = ChaosPlan(kills=1, at_fraction=0.5)
+        plan = ChaosPlan(kills=1)
+        assert plan.AT_FRACTION == 0.5
         assert plan.kill_indices(100) == [50]
         assert plan.kill_indices(1) == [0]
 
@@ -20,19 +21,22 @@ class TestKillIndices:
         assert ChaosPlan(kills=1).kill_indices(0) == []
         assert ChaosPlan(kills=0).kill_indices(100) == []
 
-    def test_multiple_kills_spread_over_remaining_events(self):
-        indices = ChaosPlan(kills=3, at_fraction=0.25).kill_indices(100)
+    def test_multiple_kills_spread_over_remaining_events(self, monkeypatch):
+        monkeypatch.setattr(ChaosPlan, "AT_FRACTION", 0.25)
+        indices = ChaosPlan(kills=3).kill_indices(100)
         assert len(indices) == 3
         assert indices == sorted(indices)
         assert all(0 <= index < 100 for index in indices)
         assert indices[0] == 25
 
-    def test_kills_never_exceed_event_range(self):
-        indices = ChaosPlan(kills=5, at_fraction=0.9).kill_indices(10)
+    def test_kills_never_exceed_event_range(self, monkeypatch):
+        monkeypatch.setattr(ChaosPlan, "AT_FRACTION", 0.9)
+        indices = ChaosPlan(kills=5).kill_indices(10)
         assert all(0 <= index < 10 for index in indices)
 
-    def test_fraction_one_clamps_to_last_event(self):
-        assert ChaosPlan(kills=1, at_fraction=1.0).kill_indices(10) == [9]
+    def test_fraction_one_clamps_to_last_event(self, monkeypatch):
+        monkeypatch.setattr(ChaosPlan, "AT_FRACTION", 1.0)
+        assert ChaosPlan(kills=1).kill_indices(10) == [9]
 
 
 class TestVictimSelection:

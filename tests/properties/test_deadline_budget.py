@@ -22,8 +22,11 @@ from repro.server.router import (Backend, CompletionRouter, RetryBudget,
                                  RouterConfig)
 
 
-def _bare_router(**overrides) -> CompletionRouter:
-    router = CompletionRouter(RouterConfig(port=0, **overrides))
+def _bare_router(**constants) -> CompletionRouter:
+    router = CompletionRouter(RouterConfig(port=0))
+    for name, value in constants.items():
+        assert hasattr(CompletionRouter, name), f"no router constant {name}"
+        setattr(router, name, value)
     router._adopt_backend(Backend(backend_id="t0", host="127.0.0.1",
                                   port=1, client=None))
     return router
@@ -62,7 +65,7 @@ class TestRemainingBudgetNeverNegative:
                               allow_nan=False))
     @settings(max_examples=100, deadline=None)
     def test_attempt_timeout_is_bounded_both_ways(self, offset_s):
-        router = _bare_router(request_timeout=30.0)
+        router = _bare_router(REQUEST_TIMEOUT_S=30.0)
         timeout = router._attempt_timeout_s(time.monotonic() + offset_s)
         assert 0.0 <= timeout <= 30.0
 
@@ -126,8 +129,9 @@ class TestHedgesBoundedByBudget:
         mix and check amplification stays within the configured ratio."""
         import random
         rng = random.Random(seed)
-        router = _bare_router(retry_budget_ratio=0.2,
-                              retry_budget_burst=10.0)
+        router = _bare_router()
+        assert (router.RETRY_BUDGET_RATIO,
+                router.RETRY_BUDGET_BURST) == (0.2, 10.0)
         requests = 0
         for _ in range(rng.randrange(300)):
             router.retry_budget.on_request()

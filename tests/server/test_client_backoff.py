@@ -1,16 +1,19 @@
 """Client-side 429 handling: full-jitter exponential backoff.
 
-Everything runs against a fake transport (a stubbed ``_request_once``)
-with a recorded ``sleep`` and a seeded RNG — no sockets, no wall clock.
+The backoff draws use a seeded RNG.  The client itself never retries a
+429 (the load driver's loop, tested in ``tests/loadgen/test_driver.py``,
+is the one that does); that is checked against a fake server.
 """
 
 import asyncio
+import json
 import random
 
 import pytest
 
 from repro.server.client import (AsyncCompletionClient, OverloadedError,
                                  jittered_backoff_s)
+from repro.server.protocol import PROTOCOL_VERSION
 
 
 class TestJitteredBackoff:
@@ -51,76 +54,31 @@ class TestJitteredBackoff:
             jittered_backoff_s(-1)
 
 
-class _Overloaded(OverloadedError):
-    def __init__(self):
-        super().__init__("overloaded", "busy", 429)
-
-
-def _flaky_client(failures: int, *, retries: int,
-                  rng=None) -> tuple[AsyncCompletionClient, dict]:
-    """A client whose transport 429s *failures* times, then succeeds.
-
-    The injected ``sleep`` records delays instead of waiting, so the
-    whole retry dance is instantaneous and deterministic.
-    """
-    recorded = {"sleeps": [], "calls": 0}
-
-    async def fake_sleep(seconds):
-        recorded["sleeps"].append(seconds)
-
-    client = AsyncCompletionClient(
-        overload_retries=retries, backoff_base_s=0.05, backoff_cap_s=2.0,
-        rng=rng or random.Random(7), sleep=fake_sleep)
-
-    async def fake_request_once(method, path, payload=None):
-        recorded["calls"] += 1
-        if recorded["calls"] <= failures:
-            raise _Overloaded()
-        return {"v": 1, "ok": True, "answer": recorded["calls"]}
-
-    client._request_once = fake_request_once
-    return client, recorded
-
-
-class TestOverloadRetries:
-    def test_retries_until_success_with_growing_jittered_sleeps(self):
+class TestNoClientRetry:
+    def test_a_429_is_raised_after_one_request(self):
         async def main():
-            client, recorded = _flaky_client(3, retries=5)
-            response = await client._request("POST", "/v1/complete", {})
-            assert response["ok"] is True
-            assert recorded["calls"] == 4
-            assert len(recorded["sleeps"]) == 3
-            for attempt, delay in enumerate(recorded["sleeps"]):
-                assert 0.0 <= delay <= min(2.0, 0.05 * (2 ** attempt))
+            requests = []
+            body = json.dumps({"v": PROTOCOL_VERSION, "ok": False, "error": {
+                "code": "overloaded", "message": "busy"}}).encode()
 
-        asyncio.run(main())
+            async def answer_429(reader, writer):
+                await reader.readuntil(b"\r\n\r\n")
+                requests.append(1)
+                writer.write(b"HTTP/1.1 429 Too Many Requests\r\n"
+                             b"Content-Length: %d\r\n\r\n" % len(body)
+                             + body)
+                await writer.drain()
+                writer.close()
 
-    def test_exhausted_retries_raise_the_last_429(self):
-        async def main():
-            client, recorded = _flaky_client(10, retries=2)
-            with pytest.raises(OverloadedError):
-                await client._request("POST", "/v1/complete", {})
-            assert recorded["calls"] == 3       # initial + 2 retries
-            assert len(recorded["sleeps"]) == 2
-
-        asyncio.run(main())
-
-    def test_zero_retries_is_the_default_and_fails_fast(self):
-        async def main():
-            client, recorded = _flaky_client(1, retries=0)
-            assert client.overload_retries == 0
-            with pytest.raises(OverloadedError):
-                await client._request("POST", "/v1/complete", {})
-            assert recorded["calls"] == 1
-            assert recorded["sleeps"] == []
-
-        asyncio.run(main())
-
-    def test_success_needs_no_sleep(self):
-        async def main():
-            client, recorded = _flaky_client(0, retries=5)
-            response = await client._request("GET", "/healthz")
-            assert response["ok"] is True
-            assert recorded["sleeps"] == []
+            server = await asyncio.start_server(answer_429, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                async with AsyncCompletionClient("127.0.0.1", port) as client:
+                    with pytest.raises(OverloadedError):
+                        await client.healthz()
+            finally:
+                server.close()
+                await server.wait_closed()
+            assert len(requests) == 1
 
         asyncio.run(main())

@@ -16,17 +16,15 @@ from repro.server.server import AsyncCompletionServer, ServerConfig
 
 
 @contextlib.asynccontextmanager
-async def running_front(process: str, read_timeout: float):
+async def running_front(process: str):
     """The *process* front (``server`` or ``router``), started."""
-    backend = AsyncCompletionServer(
-        config=ServerConfig(port=0, read_timeout=read_timeout))
+    backend = AsyncCompletionServer(config=ServerConfig(port=0))
     await backend.start()
     front = backend
     try:
         if process == "router":
             front = CompletionRouter(RouterConfig(
-                port=0, read_timeout=read_timeout,
-                attach=(f"{backend.host}:{backend.port}",)))
+                port=0, attach=(f"{backend.host}:{backend.port}",)))
             await front.start()
         yield front
     finally:
@@ -50,7 +48,7 @@ class TestShutdown:
         # accepted connection, so one left open holds close() for the
         # full read timeout.
         async def main():
-            async with running_front(process, read_timeout=30) as front:
+            async with running_front(process) as front:
                 reader, writer = await asyncio.open_connection(front.host,
                                                                front.port)
                 writer.write(b"GET /healthz HTTP/1.1\r\n\r\n")
@@ -65,3 +63,26 @@ class TestShutdown:
                 writer.close()
 
         asyncio.run(main())
+
+    @pytest.mark.parametrize("process", ["server", "router"])
+    def test_close_leaves_no_handler_for_the_loop_to_cancel(self, process):
+        # A connection handler still running when the loop shuts down is
+        # cancelled by asyncio.run, and Python 3.11's stream protocol
+        # reports each such task through the loop's exception handler
+        # ("Exception in callback ... CancelledError").
+        reported = []
+
+        async def main():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context["message"]))
+            async with running_front(process) as front:
+                reader, writer = await asyncio.open_connection(front.host,
+                                                               front.port)
+                writer.write(b"GET /healthz HTTP/1.1\r\n\r\n")
+                await writer.drain()
+                await reader.readuntil(b"\r\n\r\n")
+                await front.close()
+                writer.close()
+
+        asyncio.run(main())
+        assert reported == []

@@ -89,14 +89,24 @@ class TestLatencyTracker:
 # -- deadline clamps (unit) --------------------------------------------------
 
 
-def _bare_router(n: int = 1, **overrides) -> CompletionRouter:
-    """An unstarted router over *n* fake backends.
+def _set_constants(router: CompletionRouter, constants: dict) -> None:
+    """Override router class constants (``HEDGE_FACTOR=0.0``, ...) on
+    this one instance."""
+    for name, value in constants.items():
+        assert hasattr(CompletionRouter, name), f"no router constant {name}"
+        setattr(router, name, value)
+
+
+def _bare_router(n: int = 1, **constants) -> CompletionRouter:
+    """An unstarted router over *n* fake backends, with *constants* set
+    on the instance.
 
     The deadline, hedge-delay, ejection, and skew helpers are pure
     functions of backend state — no sockets needed, so the fakes carry
     no client at all.
     """
-    router = CompletionRouter(RouterConfig(port=0, **overrides))
+    router = CompletionRouter(RouterConfig(port=0))
+    _set_constants(router, constants)
     for index in range(n):
         router._adopt_backend(Backend(backend_id=f"t{index}",
                                       host="127.0.0.1", port=1 + index,
@@ -126,7 +136,7 @@ class TestDeadlineClamps:
 
     def test_attempt_timeout_is_min_of_config_and_remaining(self):
         import time as _time
-        router = _bare_router(request_timeout=10.0)
+        router = _bare_router(REQUEST_TIMEOUT_S=10.0)
         assert router._attempt_timeout_s(None) == 10.0
         soon = _time.monotonic() + 1.0
         assert router._attempt_timeout_s(soon) <= 1.0
@@ -137,12 +147,12 @@ class TestDeadlineClamps:
 
 class TestHedgeDelay:
     def test_cold_window_uses_the_floor(self):
-        router = _bare_router(hedge_floor_ms=80)
+        router = _bare_router(HEDGE_FLOOR_MS=80)
         backend = next(iter(router.backends.values()))
         assert router._hedge_delay_s(backend, None) == pytest.approx(0.080)
 
     def test_delay_is_percentile_derived(self):
-        router = _bare_router(hedge_factor=2.0, hedge_floor_ms=10)
+        router = _bare_router(HEDGE_FACTOR=2.0, HEDGE_FLOOR_MS=10)
         backend = next(iter(router.backends.values()))
         for _ in range(20):
             backend.latency.record(0.100)   # p95 = 100 ms
@@ -150,14 +160,14 @@ class TestHedgeDelay:
 
     def test_delay_is_bounded_by_half_the_remaining_budget(self):
         import time as _time
-        router = _bare_router(hedge_factor=2.0, hedge_floor_ms=500)
+        router = _bare_router(HEDGE_FACTOR=2.0, HEDGE_FLOOR_MS=500)
         backend = next(iter(router.backends.values()))
         deadline_at = _time.monotonic() + 0.100
         delay = router._hedge_delay_s(backend, deadline_at)
         assert delay is not None and delay <= 0.050 + 1e-3
 
     def test_factor_zero_disables_hedging(self):
-        router = _bare_router(hedge_factor=0.0)
+        router = _bare_router(HEDGE_FACTOR=0.0)
         backend = next(iter(router.backends.values()))
         assert router._hedge_delay_s(backend, None) is None
 
@@ -172,8 +182,8 @@ def _feed(backend: Backend, ms: float, n: int) -> None:
 
 class TestEjectionSweep:
     def test_outlier_p95_is_ejected(self):
-        router = _bare_router(3, eject_min_samples=8,
-                              eject_multiplier=3.0)
+        router = _bare_router(3, EJECT_MIN_SAMPLES=8,
+                              EJECT_MULTIPLIER=3.0)
         slow, *cohort = list(router.backends.values())
         _feed(slow, 500.0, 8)
         for backend in cohort:
@@ -184,7 +194,7 @@ class TestEjectionSweep:
         assert all(not backend.ejected for backend in cohort)
 
     def test_needs_minimum_samples_on_both_sides(self):
-        router = _bare_router(2, eject_min_samples=8)
+        router = _bare_router(2, EJECT_MIN_SAMPLES=8)
         slow, fast = list(router.backends.values())
         _feed(slow, 500.0, 8)
         _feed(fast, 10.0, 7)                # cohort one sample short
@@ -192,14 +202,14 @@ class TestEjectionSweep:
         assert slow.ejected is False
 
     def test_single_backend_never_ejects_itself(self):
-        router = _bare_router(eject_min_samples=1)
+        router = _bare_router(EJECT_MIN_SAMPLES=1)
         (backend,) = router.backends.values()
         _feed(backend, 500.0, 10)
         router._sweep_ejections(now=100.0)
         assert backend.ejected is False
 
     def test_ejection_clears_after_reset_with_a_fresh_window(self):
-        router = _bare_router(2, eject_min_samples=4, eject_reset_s=5.0)
+        router = _bare_router(2, EJECT_MIN_SAMPLES=4, EJECT_RESET_S=5.0)
         slow, fast = list(router.backends.values())
         _feed(slow, 500.0, 4)
         _feed(fast, 10.0, 4)
@@ -235,8 +245,8 @@ class TestEjectionSweep:
 
 class TestSkewPolicy:
     def test_skew_pair_requires_ratio_and_absolute_gap(self):
-        router = _bare_router(2, rebalance_skew_ratio=3.0,
-                              rebalance_min_gap=4.0)
+        router = _bare_router(2, REBALANCE_SKEW_RATIO=3.0,
+                              REBALANCE_MIN_GAP=4.0)
         hot, cold = list(router.backends.values())
         hot.load_ewma, cold.load_ewma = 3.0, 0.5
         assert router._skew_pair() is None  # 6x ratio but gap only 2.5
@@ -258,9 +268,9 @@ class TestSkewPolicy:
         not trigger a move, and the dwell clock resets when skew
         subsides."""
         async def main():
-            router = _bare_router(2, rebalance_dwell_s=10.0,
-                                  rebalance_min_gap=1.0,
-                                  rebalance_skew_ratio=2.0)
+            router = _bare_router(2, REBALANCE_DWELL_S=10.0,
+                                  REBALANCE_MIN_GAP=1.0,
+                                  REBALANCE_SKEW_RATIO=2.0)
             hot, cold = list(router.backends.values())
             fired = []
 
@@ -290,7 +300,7 @@ class TestSkewPolicy:
 
     def test_dwell_zero_disables_the_automatic_policy(self):
         async def main():
-            router = _bare_router(2, rebalance_dwell_s=0.0)
+            router = _bare_router(2, REBALANCE_DWELL_S=0.0)
             hot, cold = list(router.backends.values())
             hot.load_ewma = 1000.0
             await router._sweep_rebalance(now=100.0)
@@ -304,8 +314,9 @@ class TestSkewPolicy:
 
 
 @contextlib.asynccontextmanager
-async def attached_router(n=2, server_configs=None, **router_overrides):
-    """A router over *n* in-process backends (no subprocesses).
+async def attached_router(n=2, server_configs=None, **constants):
+    """A router over *n* in-process backends (no subprocesses), with
+    router *constants* set on its instance.
 
     ``server_configs`` lets a test hand individual backends a
     ``ServerConfig`` — e.g. ``inject_latency_ms`` to make exactly one
@@ -319,8 +330,8 @@ async def attached_router(n=2, server_configs=None, **router_overrides):
         await server.start()
         backends.append(server)
     router = CompletionRouter(RouterConfig(
-        port=0, attach=tuple(f"{s.host}:{s.port}" for s in backends),
-        **router_overrides))
+        port=0, attach=tuple(f"{s.host}:{s.port}" for s in backends)))
+    _set_constants(router, constants)
     await router.start()
     client = AsyncCompletionClient(router.host, router.port)
     try:
@@ -372,7 +383,7 @@ class TestDeadlineBehaviour:
                     for _ in range(2)]
             async with attached_router(
                     2, server_configs=slow,
-                    hedge_factor=0.0) as (router, backends, client):
+                    HEDGE_FACTOR=0.0) as (router, backends, client):
                 scene_id = (await client.register_scene(
                     SCENE))["scene_id"]
                 with pytest.raises(DeadlineExceededError):
@@ -392,7 +403,7 @@ class TestDeadlineBehaviour:
                     for _ in range(2)]
             async with attached_router(
                     2, server_configs=slow,
-                    hedge_factor=0.0) as (router, backends, client):
+                    HEDGE_FACTOR=0.0) as (router, backends, client):
                 scene_id = (await client.register_scene(
                     SCENE))["scene_id"]
                 with pytest.raises(DeadlineExceededError):
@@ -409,7 +420,7 @@ class TestDeadlineBehaviour:
                     for _ in range(2)]
             async with attached_router(
                     2, server_configs=slow,
-                    hedge_factor=0.0) as (router, backends, client):
+                    HEDGE_FACTOR=0.0) as (router, backends, client):
                 scene_id = (await client.register_scene(
                     SCENE))["scene_id"]
                 served = await client.complete(scene_id, n=5)
@@ -426,7 +437,7 @@ class TestHedgingBehaviour:
         spending exactly one retry token."""
         async def main():
             async with attached_router(
-                    2, hedge_floor_ms=30) as (router, backends, client):
+                    2, HEDGE_FLOOR_MS=30) as (router, backends, client):
                 scene_id = (await client.register_scene(
                     SCENE))["scene_id"]
                 baseline = await client.complete(scene_id, n=6)
@@ -453,7 +464,7 @@ class TestHedgingBehaviour:
         baseline's snippets."""
         async def main():
             async with attached_router(
-                    2, hedge_floor_ms=30) as (router, backends, client):
+                    2, HEDGE_FLOOR_MS=30) as (router, backends, client):
                 scene_id = (await client.register_scene(
                     SCENE))["scene_id"]
                 baseline = await client.complete(scene_id, n=6)
@@ -488,7 +499,7 @@ class TestHedgingBehaviour:
         primary answers instead."""
         async def main():
             async with attached_router(
-                    2, hedge_floor_ms=30) as (router, backends, client):
+                    2, HEDGE_FLOOR_MS=30) as (router, backends, client):
                 scene_id = (await client.register_scene(
                     SCENE))["scene_id"]
                 await client.complete(scene_id, n=6)
@@ -510,7 +521,7 @@ class TestHedgingBehaviour:
         attempt waits on it past the hedge delay."""
         async def main():
             async with attached_router(
-                    2, hedge_floor_ms=30) as (router, backends, client):
+                    2, HEDGE_FLOOR_MS=30) as (router, backends, client):
                 scene_id = (await client.register_scene(
                     SCENE))["scene_id"]
                 await client.complete(scene_id, n=6)
@@ -533,11 +544,13 @@ class TestHedgingBehaviour:
 
         asyncio.run(main())
 
-    def test_dry_budget_blocks_the_hedge(self):
+    def test_dry_budget_blocks_the_hedge(self, monkeypatch):
+        # The retry budget is built with the router, from the class.
+        monkeypatch.setattr(CompletionRouter, "RETRY_BUDGET_BURST", 1.0)
+
         async def main():
             async with attached_router(
-                    2, hedge_floor_ms=10,
-                    retry_budget_burst=1.0) as (router, backends, client):
+                    2, HEDGE_FLOOR_MS=10) as (router, backends, client):
                 scene_id = (await client.register_scene(
                     SCENE))["scene_id"]
                 await client.complete(scene_id, n=6)
@@ -561,7 +574,7 @@ class TestRoutedPriority:
     def test_low_priority_stream_is_shed_like_a_unary_read(
             self, monkeypatch):
         """Both replicas sit at the soft watermark (1 of 4 pending at
-        ``shed_watermark=0.25``): the router forwards the client's
+        ``SHED_WATERMARK = 0.25``): the router forwards the client's
         priority, so a priority-0 stream is shed with 429 exactly like a
         priority-0 unary read."""
         release = threading.Event()
@@ -573,13 +586,13 @@ class TestRoutedPriority:
 
         monkeypatch.setattr(server_module, "_run_synthesis",
                             blocking_synthesis)
+        monkeypatch.setattr(AsyncCompletionServer, "SHED_WATERMARK", 0.25)
 
         async def main():
-            tight = [ServerConfig(port=0, max_pending=4, shed_watermark=0.25)
-                     for _ in range(2)]
+            tight = [ServerConfig(port=0, max_pending=4) for _ in range(2)]
             async with attached_router(
                     2, server_configs=tight,
-                    hedge_factor=0.0) as (router, backends, client):
+                    HEDGE_FACTOR=0.0) as (router, backends, client):
                 scene_id = (await client.register_scene(
                     SCENE))["scene_id"]
                 directs = [AsyncCompletionClient(server.host, server.port)

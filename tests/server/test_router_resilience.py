@@ -273,7 +273,7 @@ class TestAdminProtocol:
 
 
 @contextlib.asynccontextmanager
-async def attached_router(n=2, **router_overrides):
+async def attached_router(n=2):
     """A router over *n* in-process backends (no subprocesses).
 
     Closing a backend's ``AsyncCompletionServer`` makes its address
@@ -286,8 +286,7 @@ async def attached_router(n=2, **router_overrides):
         await server.start()
         backends.append(server)
     router = CompletionRouter(RouterConfig(
-        port=0, attach=tuple(f"{s.host}:{s.port}" for s in backends),
-        **router_overrides))
+        port=0, attach=tuple(f"{s.host}:{s.port}" for s in backends)))
     await router.start()
     client = AsyncCompletionClient(router.host, router.port)
     try:
@@ -372,13 +371,14 @@ class TestReplicaFailover:
 
         asyncio.run(main())
 
-    def test_all_replicas_down_serves_degraded_from_lkg(self):
+    def test_all_replicas_down_serves_degraded_from_lkg(self, monkeypatch):
+        # burst=1: the budget runs dry before the breakers open, so this
+        # test also proves exhaustion degrades instead of 5xx.  The
+        # budget is built with the router, from the class.
+        monkeypatch.setattr(CompletionRouter, "RETRY_BUDGET_BURST", 1.0)
+
         async def main():
-            # burst=1: the budget runs dry before the breakers open, so
-            # this test also proves exhaustion degrades instead of 5xx.
-            async with attached_router(
-                    2, retry_budget_burst=1.0) as (router, backends,
-                                                   client):
+            async with attached_router(2) as (router, backends, client):
                 scene_id = (await client.register_scene(SCENE))["scene_id"]
                 baseline = await client.complete(scene_id)
                 assert baseline["inhabited"] is True

@@ -410,6 +410,39 @@ class TestLoadgenCommand:
                      "--emit-trace", "/dev/null"]) == 2
 
 
+class TestConfigFields:
+    def test_config_fields_are_exactly_the_ones_the_cli_fills(self):
+        """Each serving config is built by one command, from its flags: a
+        new field arrives with a flag, or it is a constant."""
+        import ast
+        import dataclasses
+        import inspect
+        import textwrap
+
+        import repro.cli as cli
+        from repro.loadgen.chaos import ChaosPlan
+        from repro.loadgen.driver import DriverConfig
+        from repro.server.router import RouterConfig
+        from repro.server.server import ServerConfig
+
+        mismatched = {}
+        for command, config_class in ((cli._cmd_serve, ServerConfig),
+                                      (cli._cmd_route, RouterConfig),
+                                      (cli._cmd_loadgen, DriverConfig),
+                                      (cli._cmd_loadgen, ChaosPlan)):
+            tree = ast.parse(textwrap.dedent(inspect.getsource(command)))
+            (call,) = [node for node in ast.walk(tree)
+                       if isinstance(node, ast.Call)
+                       and getattr(node.func, "id", None)
+                       == config_class.__name__]
+            filled = {keyword.arg for keyword in call.keywords}
+            fields = {field.name
+                      for field in dataclasses.fields(config_class)}
+            if filled != fields:
+                mismatched[config_class.__name__] = sorted(fields ^ filled)
+        assert mismatched == {}
+
+
 class TestArgumentErrors:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
