@@ -1275,6 +1275,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
           f"transition_hits={arena.get('transition_memo_hits')} "
           f"misses={arena.get('transition_memo_misses')} "
           f"merges={arena.get('index_merges')} "
+          f"proofs={arena.get('proofs')} "
+          f"proof_hits={arena.get('proof_hits')} "
+          f"proof_stores={arena.get('proof_stores')} "
           f"retired={arena.get('retired_arenas')}")
     gc_stats = payload.get("gc", {})
     if gc_stats:

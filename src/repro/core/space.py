@@ -21,6 +21,10 @@ memo structures per arena:
   into the parent's (already sorted) groups, never re-sorting the whole
   environment.
 
+It also holds the scene's stored proofs (:meth:`EnvArena.proof`): values
+the engine files under keys that name one of the arena's environment
+ids, so they go with the arena.
+
 An arena is a cache, never a correctness requirement: every query it
 answers is derivable from the structural data it stores, dropping it
 merely costs re-interning.  Arenas grow append-only — ids handed out
@@ -68,12 +72,16 @@ _LIVE_ARENAS: "weakref.WeakSet[EnvArena]" = weakref.WeakSet()
 #: Lifetime counters over arenas that have already been released/collected
 #: (so `/v1/stats` totals do not shrink when a tenant is dropped).
 _RETIRED = {"arenas": 0, "envs": 0, "transition_hits": 0,
-            "transition_misses": 0, "index_merges": 0}
+            "transition_misses": 0, "index_merges": 0, "proof_hits": 0,
+            "proof_stores": 0}
 _RETIRED_LOCK = threading.Lock()
 
 
 class EnvArena:
     """Intern table mapping succinct environments to dense integer ids."""
+
+    #: Bound on stored proofs; past it the oldest stored one is dropped.
+    MAX_PROOFS = 32
 
     def __init__(self, root: Optional[Iterable[SuccinctType]] = None,
                  max_envs: int = DEFAULT_MAX_ENVS):
@@ -87,6 +95,10 @@ class EnvArena:
         self.transition_hits = 0
         self.transition_misses = 0
         self.index_merges = 0
+        #: Stored proofs, oldest first (see :meth:`proof`).
+        self._proofs: dict = {}
+        self.proof_hits = 0
+        self.proof_stores = 0
         self._retired = False
         with _RETIRED_LOCK:                # adds vs. arena_stats snapshot
             _LIVE_ARENAS.add(self)
@@ -184,6 +196,33 @@ class EnvArena:
     def __len__(self) -> int:
         return len(self._members)
 
+    # -- stored proofs -------------------------------------------------------
+
+    def proof(self, key: tuple):
+        """The proof stored under *key*, or ``None``.
+
+        The arena does not look inside keys or proofs; the engine's
+        ``PreparedScene.synthesize`` defines both and says when storing
+        one is exact.
+        """
+        proof = self._proofs.get(key)
+        if proof is not None:
+            self.proof_hits += 1
+        return proof
+
+    def store_proof(self, key: tuple, proof) -> None:
+        """File *proof* under *key*, dropping the oldest past the bound.
+
+        A retired arena stores nothing: its release freed its proofs.
+        """
+        with self._lock:
+            if self._retired:
+                return
+            self._proofs[key] = proof
+            self.proof_stores += 1
+            while len(self._proofs) > self.MAX_PROOFS:
+                del self._proofs[next(iter(self._proofs))]
+
     def oversized(self) -> bool:
         """True once the arena should be replaced at the next boundary.
 
@@ -201,10 +240,14 @@ class EnvArena:
             "transition_hits": self.transition_hits,
             "transition_misses": self.transition_misses,
             "index_merges": self.index_merges,
+            "proofs": len(self._proofs),
+            "proof_hits": self.proof_hits,
+            "proof_stores": self.proof_stores,
         }
 
     def retire(self) -> None:
-        """Fold this arena's counters into the lifetime totals.
+        """Fold this arena's counters into the lifetime totals and free
+        its stored proofs.
 
         Called when the holder releases the arena (engine scene release);
         the object itself stays usable for any in-flight exploration and
@@ -219,6 +262,10 @@ class EnvArena:
             _RETIRED["transition_hits"] += self.transition_hits
             _RETIRED["transition_misses"] += self.transition_misses
             _RETIRED["index_merges"] += self.index_merges
+            _RETIRED["proof_hits"] += self.proof_hits
+            _RETIRED["proof_stores"] += self.proof_stores
+        with self._lock:
+            self._proofs.clear()
 
     def __repr__(self) -> str:
         return (f"EnvArena({len(self._members)} envs, "
@@ -314,9 +361,10 @@ def trim_simple_type_ids(max_entries: int = 0) -> int:
 def arena_stats() -> dict:
     """Aggregate arena statistics: live arenas plus retired totals.
 
-    The ``transition_memo_hits``-style counters are process-lifetime
-    (live + retired), so serving dashboards see monotone rates; the
-    ``env_count`` gauge covers live arenas only.
+    The ``transition_memo_hits``-style counters and the proof counters
+    are process-lifetime (live + retired), so serving dashboards see
+    monotone rates; the ``env_count`` and ``proofs`` gauges cover live
+    arenas only.
     """
     with _RETIRED_LOCK:
         # Snapshot under the same lock that guards registration: a WeakSet
@@ -334,6 +382,11 @@ def arena_stats() -> dict:
             + sum(a.transition_misses for a in live),
         "index_merges":
             retired["index_merges"] + sum(a.index_merges for a in live),
+        "proofs": sum(len(arena._proofs) for arena in live),
+        "proof_hits":
+            retired["proof_hits"] + sum(a.proof_hits for a in live),
+        "proof_stores":
+            retired["proof_stores"] + sum(a.proof_stores for a in live),
         "retired_arenas": retired["arenas"],
         "retired_envs": retired["envs"],
     }

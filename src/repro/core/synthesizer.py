@@ -15,6 +15,11 @@ With ``config.interleaved`` (the default, following §5.6) pattern generation
 runs online: every batch of reachability edges found by exploration is fed
 to an :class:`IndexedPatternGenerator` immediately, so a time-limited
 prover still yields patterns for everything it has explored.
+
+:meth:`Synthesizer.synthesize` is :meth:`~Synthesizer.prove_result`
+followed by :meth:`~Synthesizer.reconstruct`, and always proves.  The
+split lets the engine reconstruct from a stored :class:`Proof` instead
+(see ``repro.engine.PreparedScene.synthesize``).
 """
 
 from __future__ import annotations
@@ -76,6 +81,10 @@ class SynthesisResult:
     reconstruction_emitted: int = 0
     explore_truncated: bool = False
     reconstruction_truncated: bool = False
+    #: True when explore and patterns did not run: the patterns and work
+    #: counts came from a stored :class:`Proof`, and ``explore_seconds``
+    #: is the lookup's time.
+    prove_reused: bool = False
 
     @property
     def prove_seconds(self) -> float:
@@ -93,6 +102,30 @@ class SynthesisResult:
         return (f"SynthesisResult({len(self.snippets)} snippets, "
                 f"inhabited={self.inhabited}, "
                 f"total={self.total_seconds * 1000:.1f} ms)")
+
+
+@dataclass(frozen=True)
+class Proof:
+    """What reconstruction reads of one prove, plus the prove's work counts.
+
+    Holds no :class:`SearchSpace`, so a stored proof costs only its
+    pattern set.
+    """
+
+    patterns: PatternSet
+    nodes_explored: int
+    edges_found: int
+    inhabited: bool
+
+    def reused_result(self, lookup_seconds: float) -> SynthesisResult:
+        """A result that reuses this proof: its work counts, and the
+        lookup's time as explore time."""
+        return SynthesisResult(inhabited=self.inhabited,
+                               explore_seconds=lookup_seconds,
+                               nodes_explored=self.nodes_explored,
+                               edges_found=self.edges_found,
+                               pattern_count=len(self.patterns),
+                               prove_reused=True)
 
 
 class Synthesizer:
@@ -214,10 +247,23 @@ class Synthesizer:
         thread and must not raise; the returned result is identical with
         or without it.
         """
+        limit = self.snippet_limit(n)
+        result, patterns = self.prove_result(goal)
+        return self.reconstruct(goal, patterns, result, limit, on_snippet)
+
+    def snippet_limit(self, n: Optional[int]) -> int:
+        """The effective snippet limit of one call (``n`` or the config's)."""
         limit = n if n is not None else self.config.max_snippets
         if limit <= 0:
             raise SynthesisError(f"snippet limit must be positive, got {limit}")
+        return limit
 
+    def prove_result(self, goal: Type) -> tuple[SynthesisResult, PatternSet]:
+        """Explore + pattern generation for *goal*, timed.
+
+        Returns the pattern set and a result holding only the prove's
+        statistics, for :meth:`reconstruct` to complete.
+        """
         result = SynthesisResult()
 
         prove_start = time.perf_counter()
@@ -234,7 +280,13 @@ class Synthesizer:
         # the remainder to patterns.
         result.explore_seconds = min(space.elapsed_seconds, prove_elapsed)
         result.patterns_seconds = max(prove_elapsed - result.explore_seconds, 0.0)
+        return result, patterns
 
+    def reconstruct(self, goal: Type, patterns: PatternSet,
+                    result: SynthesisResult, limit: int,
+                    on_snippet=None) -> SynthesisResult:
+        """GenerateT: the *limit* best snippets of *goal* from *patterns*,
+        filled into *result* (which carries the prove's statistics)."""
         if not result.inhabited:
             return result
 

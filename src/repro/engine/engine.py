@@ -21,7 +21,10 @@ environment, its succinct signature, and the interned succinct types.  A
 Engine-served results are *identical* to direct
 :meth:`~repro.core.synthesizer.Synthesizer.synthesize` output: a cache miss
 runs the very same pipeline over the very same prepared environment, and a
-hit returns what that run produced.  An engine constructed with a
+hit returns what that run produced.  A miss proves at most once per scene
+state (:meth:`PreparedScene.synthesize`): a goal already proved over the
+same sigma(Gamma_o) reconstructs from the stored proof, with the same
+snippets and work counts as a fresh prove.  An engine constructed with a
 non-empty :class:`~repro.core.ranking.RankingPipeline` re-scores results
 *after* the cache — the cache (and its snapshots) always hold base,
 un-reranked results, so one cached synthesis serves every per-query
@@ -53,7 +56,8 @@ from repro.core.environment import Environment
 from repro.core.errors import EngineError
 from repro.core.ranking import CompletionContext, RankingPipeline
 from repro.core.subtyping import SubtypeGraph, environment_with_subtyping
-from repro.core.synthesizer import SynthesisResult, Synthesizer
+from repro.core.succinct import sigma
+from repro.core.synthesizer import Proof, SynthesisResult, Synthesizer
 from repro.core.types import Type
 from repro.core.weights import WeightPolicy
 from repro.corpus.mining import ProjectWeightTables
@@ -173,6 +177,48 @@ class PreparedScene:
                 policy=policy, config=config)
             self._synthesizers[key] = synthesizer
         return synthesizer
+
+    def synthesize(self, goal: Type, policy: WeightPolicy,
+                   config: SynthesisConfig, n: Optional[int] = None,
+                   on_snippet=None) -> SynthesisResult:
+        """One synthesis over this scene, proving once per scene state.
+
+        A proof is stored on the scene's arena under ``(policy, root
+        sigma(Gamma_o) id, sigma(goal), max_explore_nodes)``, which edits
+        that keep sigma(Gamma_o) hand on with the arena.  A later call
+        with that key reconstructs from the stored patterns; everything
+        else runs :meth:`Synthesizer.synthesize`'s prove.  Reuse is
+        exact.  Without truncation, exploration reaches one closure in
+        any order: the §5.6 weight w(t, Gamma_o), which an edit can
+        change, orders the work but not its result, and the node and
+        edge counts are that closure's.  The pattern fixpoint over the
+        closure is unique, and ``PatternSet.build`` indexes it in
+        ``sort_key`` order.  So only runs that no budget cut are stored,
+        and only those that explored fewer nodes than the node budget,
+        which no exploration order could then reach.  The policy is in
+        the key so that each Table 2 variant's served run proves.
+        """
+        synthesizer = self.synthesizer(policy, config)
+        limit = synthesizer.snippet_limit(n)
+        start = time.perf_counter()
+        environment = self.environment
+        arena = environment.succinct_arena()
+        budget = config.max_explore_nodes
+        key = (policy, arena.intern(environment.succinct_environment()),
+               sigma(goal), budget)
+        proof = arena.proof(key)
+        if proof is not None:
+            result = proof.reused_result(time.perf_counter() - start)
+            patterns = proof.patterns
+        else:
+            result, patterns = synthesizer.prove_result(goal)
+            if not result.explore_truncated and (
+                    budget is None or result.nodes_explored < budget):
+                arena.store_proof(key, Proof(
+                    patterns, result.nodes_explored, result.edges_found,
+                    result.inhabited))
+        return synthesizer.reconstruct(goal, patterns, result, limit,
+                                       on_snippet)
 
     def __repr__(self) -> str:
         return (f"PreparedScene({self.name!r}, "
@@ -354,7 +400,7 @@ class CompletionEngine:
             return EngineResult(served, key, True, prepared.name,
                                 time.perf_counter() - start, reranked)
 
-        result = prepared.synthesizer(policy, config).synthesize(goal, n=n)
+        result = prepared.synthesize(goal, policy, config, n=n)
         self.results.put(key, result)
         served, reranked = self.rerank_result(result, prepared, context)
         return EngineResult(served, key, False, prepared.name,
@@ -612,8 +658,9 @@ class CompletionEngine:
 
         Drops the scene-table entry, every result cached against the
         scene's fingerprint, the scene's per-policy synthesizers, and the
-        scene's environment arena (the prover's STRIP/MATCH memo state —
-        see :meth:`~repro.core.environment.Environment.succinct_arena`);
+        scene's environment arena (the prover's STRIP/MATCH memo state
+        and stored proofs — see
+        :meth:`~repro.core.environment.Environment.succinct_arena`);
         with ``shed_types`` (the default) also sheds the global
         succinct-type intern table — cleared outright when this was the
         last prepared scene, trimmed to its configured bound otherwise

@@ -1421,10 +1421,11 @@ class CompletionRouter:
         after a backend has prepared the scene, so new text is first
         registered on a deterministic *probe* backend (hash of the text
         digest).  Once the id is known, the scene is registered on all R
-        ring owners and released from the probe when it is not one of
-        them; the journal then remembers digest → scene id, so every
-        later registration and inline completion of the same text routes
-        straight to the owners.
+        ring owners and released from the probe when it is neither one of
+        them nor the scene's edit-session home, whose copy is the warm
+        one reads go to first; the journal then remembers digest → scene
+        id, so every later registration and inline completion of the same
+        text routes straight to the owners.
         """
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         known = self.journal.lookup_digest(digest)
@@ -1437,7 +1438,8 @@ class CompletionRouter:
             probe, lambda c: c.register_scene(text, name=name))
         scene_id = response["scene_id"]
         owner_ids = self.ring.route_n(scene_id, self.config.replication)
-        if probe.backend_id not in owner_ids:
+        if (probe.backend_id not in owner_ids
+                and self._session_homes.get(scene_id) != probe.backend_id):
             try:                            # de-home the probe's stray copy
                 await probe.client.release_scene(scene_id)
             except (ReproError, ClientConnectionError):

@@ -117,15 +117,16 @@ class ServerConfig:
 
 def _run_synthesis(prepared: PreparedScene, goal: Type, policy, config,
                    n: Optional[int], on_snippet=None) -> SynthesisResult:
-    """The executor entry point: one pure pipeline run.
+    """The executor entry point: one engine synthesis
+    (:meth:`PreparedScene.synthesize`, which proves once per scene state).
 
     *on_snippet*, when given, runs on this executor thread with each
     snippet as reconstruction emits it — a live stream's bridge to the
     loop.  Module-level so tests can monkeypatch it (to count, delay or
     stub synthesis) without touching the serving logic around it.
     """
-    return prepared.synthesizer(policy, config).synthesize(
-        goal, n=n, on_snippet=on_snippet)
+    return prepared.synthesize(goal, policy, config, n=n,
+                               on_snippet=on_snippet)
 
 
 def _apply_edit(engine: CompletionEngine, scene: RegisteredScene,

@@ -124,12 +124,40 @@ class TestLifecycle:
         assert stats["env_count"] == 1
         assert set(stats) == {"env_count", "max_envs", "transitions",
                               "transition_hits", "transition_misses",
-                              "index_merges"}
+                              "index_merges", "proofs", "proof_hits",
+                              "proof_stores"}
         aggregate = arena_stats()
         for key in ("live_arenas", "env_count", "transition_memo_hits",
-                    "transition_memo_misses", "index_merges",
-                    "retired_arenas", "retired_envs"):
+                    "transition_memo_misses", "index_merges", "proofs",
+                    "proof_hits", "proof_stores", "retired_arenas",
+                    "retired_envs"):
             assert key in aggregate
+
+    def test_stored_proofs_count_hits_and_stay_bounded(self, monkeypatch):
+        monkeypatch.setattr(EnvArena, "MAX_PROOFS", 2)
+        arena = EnvArena(_env(("a", "A")))
+        assert arena.proof("k1") is None
+        for key in ("k1", "k2", "k3"):
+            arena.store_proof(key, f"proof-{key}")
+        assert arena.proof("k1") is None            # oldest dropped
+        assert arena.proof("k3") == "proof-k3"
+        assert arena.stats()["proofs"] == 2
+        assert arena.stats()["proof_stores"] == 3
+        assert arena.stats()["proof_hits"] == 1
+
+    def test_retire_frees_proofs_and_keeps_their_counts(self):
+        arena = EnvArena(_env(("a", "A")))
+        arena.store_proof("k", "proof")
+        arena.proof("k")
+        before = arena_stats()
+        arena.retire()
+        after = arena_stats()
+        assert arena.proof("k") is None
+        arena.store_proof("k", "proof")             # retired: not stored
+        assert arena.stats()["proofs"] == 0
+        assert after["proofs"] == before["proofs"] - 1
+        assert after["proof_hits"] == before["proof_hits"]
+        assert after["proof_stores"] == before["proof_stores"]
 
     def test_type_ids_stable_and_distinct(self):
         first = primitive("A")

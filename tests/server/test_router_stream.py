@@ -14,7 +14,8 @@ import contextlib
 import hashlib
 
 from repro.server.client import AsyncCompletionClient
-from repro.server.router import CompletionRouter, RouterConfig
+from repro.server.router import (_DIGEST_KEY_PREFIX, CompletionRouter,
+                                 RouterConfig)
 from repro.server.server import AsyncCompletionServer, ServerConfig
 
 SCENE = """
@@ -174,6 +175,44 @@ class TestRoutedEditSessions:
                 replay = await client.complete(registered["scene_id"], n=4)
                 assert replay["cache_hit"] is True
                 assert replay["snippets"] == baseline["snippets"]
+        asyncio.run(main())
+
+
+    def test_same_content_registration_keeps_the_session_home(self):
+        """Registering an edited scene's text under a new digest (here:
+        extra trailing newlines) probes a backend by that digest.  When
+        the probe is the edited id's session home but not a ring owner,
+        its copy is the warm one reads go to first, so it must stay."""
+        async def main():
+            async with attached_router(n=3) as (router, backends, client):
+                scene_id = (await client.register_scene(SCENE))["scene_id"]
+                for index in range(64):
+                    edited = await client.edit_scene(scene_id, [
+                        {"op": "add", "decl": f"local extra{index} : URL"}])
+                    scene_id = edited["scene_id"]
+                    home = router._session_homes[scene_id]
+                    owners = router.ring.route_n(scene_id,
+                                                 router.config.replication)
+                    if home not in owners:
+                        break
+                else:
+                    raise AssertionError("no edit left its ring owners")
+                baseline = await client.complete(scene_id, n=4)
+                for newlines in range(1, 256):
+                    text = edited["text"] + "\n" * newlines
+                    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+                    if router.ring.route(_DIGEST_KEY_PREFIX + digest) == home:
+                        break
+                else:
+                    raise AssertionError("no digest probes the home")
+                registered = await client.register_scene(text)
+                assert registered["scene_id"] == scene_id
+                assert registered["cached"] is True
+                reregistrations = router.reregistrations
+                again = await client.complete(scene_id, n=4)
+                assert again["cache_hit"] is True
+                assert again["snippets"] == baseline["snippets"]
+                assert router.reregistrations == reregistrations
         asyncio.run(main())
 
 

@@ -112,6 +112,27 @@ class TestServing:
 
         asyncio.run(main())
 
+    def test_stats_count_stored_and_reused_proofs(self):
+        """A result-cache miss on an already-proved goal (a new ``n``)
+        reconstructs from the scene's stored proof."""
+        async def main():
+            async with running_server() as (server, client):
+                scene_id = (await client.register_scene(SCENE))["scene_id"]
+                first = await client.complete(scene_id, n=2)
+                second = await client.complete(scene_id, n=3)
+                assert not first["cache_hit"] and not second["cache_hit"]
+                assert second["snippets"][:2] == first["snippets"]
+                prepared = server.registry.get(scene_id).prepared
+                own = prepared.environment.succinct_arena().stats()
+                assert (own["proofs"], own["proof_stores"],
+                        own["proof_hits"]) == (1, 1, 1)
+                arena = (await client.stats())["core"]["env_arena"]
+                assert arena["proofs"] >= 1
+                assert arena["proof_stores"] >= 1
+                assert arena["proof_hits"] >= 1
+
+        asyncio.run(main())
+
     def test_inline_scene_and_goal_override(self):
         async def main():
             async with running_server() as (server, client):

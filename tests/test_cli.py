@@ -348,6 +348,7 @@ class TestStatsCommand:
             out = capsys.readouterr().out
             assert code == 0
             assert "env arena" in out
+            assert "proof_hits=" in out
             assert "interned types" in out
             code = main(["stats", "--port", str(server.port), "--json"])
             out = capsys.readouterr().out
