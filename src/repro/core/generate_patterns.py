@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional
 
 from repro.core.explore import EnvKey, IndexedSpace, Request, SearchSpace
@@ -99,6 +100,23 @@ class PatternSet:
         """All patterns ``env@S' : result`` — the Fig. 10 pattern query."""
         return self._index.get((env, result), ())
 
+    def restricted(self, inhabited: Iterable[Request]) -> "PatternSet":
+        """The pattern set of a sub-closure whose inhabited requests are
+        *inhabited* (each inhabited in this set too).
+
+        A request's patterns are its firing edges, so the sub-closure's
+        are exactly these requests' slices here.  Each slice already has
+        the `sort_key` order :meth:`build` gives it, so the result equals
+        a fresh build over the sub-closure.
+        """
+        inhabited = frozenset(inhabited)
+        index = {(request.env, request.target):
+                 self._index[(request.env, request.target)]
+                 for request in inhabited}
+        return PatternSet(patterns=frozenset(chain.from_iterable(
+                              index.values())),
+                          inhabited=inhabited, _index=index)
+
     def is_inhabited(self, request: Request) -> bool:
         return request in self.inhabited
 
@@ -111,7 +129,7 @@ class PatternSet:
 
 
 def _indexed_pattern_set(isp: IndexedSpace, pattern_edges: Iterable[int],
-                         inhabited_nodes: Iterable[int]) -> PatternSet:
+                         inhabited_ids: Iterable[int]) -> PatternSet:
     """Materialise the classic :class:`PatternSet` from integer results."""
     # Dedup on (env id, interned source) before building Pattern objects:
     # several edges of one request share a source type, and int/identity
@@ -134,20 +152,26 @@ def _indexed_pattern_set(isp: IndexedSpace, pattern_edges: Iterable[int],
         # and ``Select`` lookups identity-fast, and warm across queries.
         object.__setattr__(pattern, "_stype", source)
         patterns.add(pattern)
-    inhabited = {isp.request_view(node) for node in inhabited_nodes}
+    inhabited = {isp.request_view(node) for node in inhabited_ids}
     return PatternSet.build(patterns, inhabited)
 
 
-def _firing_edges(isp: IndexedSpace, inhabited: set) -> list[int]:
-    """Every edge whose premises are all inhabited (the PROD candidates)."""
+def pattern_set(isp: IndexedSpace, inhabited: set) -> PatternSet:
+    """The patterns of every edge whose premises are all *inhabited* (PROD)."""
     children = isp.edge_children
-    return [edge for edge in range(len(children))
-            if all(child in inhabited for child in children[edge])]
+    firing = [edge for edge in range(len(children))
+              if all(child in inhabited for child in children[edge])]
+    return _indexed_pattern_set(isp, firing, inhabited)
 
 
 def generate_patterns(space: SearchSpace) -> PatternSet:
     """Counter-based least fixpoint over integer edge/node ids."""
     isp = space.indexed
+    return pattern_set(isp, inhabited_nodes(isp))
+
+
+def inhabited_nodes(isp: IndexedSpace) -> set[int]:
+    """The inhabited node ids: the least fixpoint, counter-based."""
     edge_count = len(isp.edge_node)
     waiting = [0] * edge_count
     watchers: dict[int, list[int]] = {}
@@ -173,8 +197,7 @@ def generate_patterns(space: SearchSpace) -> PatternSet:
             waiting[watcher] -= 1
             if waiting[watcher] == 0:
                 ready.append(watcher)
-
-    return _indexed_pattern_set(isp, _firing_edges(isp, inhabited), inhabited)
+    return inhabited
 
 
 def generate_patterns_with_predecessor_map(space: SearchSpace) -> PatternSet:
@@ -214,7 +237,7 @@ def generate_patterns_with_predecessor_map(space: SearchSpace) -> PatternSet:
             if waiting[watcher] == 0:
                 ready.append(watcher)
 
-    return _indexed_pattern_set(isp, _firing_edges(isp, inhabited), inhabited)
+    return pattern_set(isp, inhabited)
 
 
 class IndexedPatternGenerator:
@@ -279,6 +302,11 @@ class IndexedPatternGenerator:
     def goal_reached(self, root: int) -> bool:
         """True as soon as the root node is known inhabited."""
         return root in self._inhabited
+
+    @property
+    def inhabited(self) -> set[int]:
+        """The node ids known inhabited so far."""
+        return self._inhabited
 
     def result(self) -> PatternSet:
         if self._space is None:                    # no edges ever arrived

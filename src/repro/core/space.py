@@ -21,9 +21,9 @@ memo structures per arena:
   into the parent's (already sorted) groups, never re-sorting the whole
   environment.
 
-It also holds the scene's stored proofs (:meth:`EnvArena.proof`): values
-the engine files under keys that name one of the arena's environment
-ids, so they go with the arena.
+It also holds the scene's stored proofs (:meth:`EnvArena.find_proof`):
+closed explored graphs the engine files under keys that name one of the
+arena's environment ids, so they go with the arena.
 
 An arena is a cache, never a correctness requirement: every query it
 answers is derivable from the structural data it stores, dropping it
@@ -50,6 +50,7 @@ attribute read.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import weakref
 from typing import Iterable, Optional
@@ -66,15 +67,58 @@ EnvKey = frozenset  # frozenset[SuccinctType]
 #: in a fresh arena (see `Environment.succinct_arena`).
 DEFAULT_MAX_ENVS = 1 << 14
 
-#: Live arenas, for aggregate statistics only.
-_LIVE_ARENAS: "weakref.WeakSet[EnvArena]" = weakref.WeakSet()
+#: The lifetime counters of an arena (:class:`ArenaCounts`).
+COUNTERS = ("transition_hits", "transition_misses", "index_merges",
+            "proof_hits", "proof_stores")
 
-#: Lifetime counters over arenas that have already been released/collected
-#: (so `/v1/stats` totals do not shrink when a tenant is dropped).
-_RETIRED = {"arenas": 0, "envs": 0, "transition_hits": 0,
-            "transition_misses": 0, "index_merges": 0, "proof_hits": 0,
-            "proof_stores": 0}
+
+class ArenaCounts:
+    """One arena's counters, and whether it was retired.
+
+    Held by the arena and by :data:`_ARENAS`, so they outlive the arena:
+    one that is collected without :meth:`EnvArena.retire` (the engine's
+    scene LRU evicts without a release) has its counts folded into
+    :data:`_RETIRED` by the next :func:`_sweep`.  Nothing runs when an
+    arena dies, so nothing can block on :data:`_RETIRED_LOCK` there.
+    """
+
+    __slots__ = COUNTERS + ("envs", "retired")
+
+    def __init__(self) -> None:
+        for name in COUNTERS:
+            setattr(self, name, 0)
+        self.envs = 0
+        self.retired = False
+
+
+#: serial -> (weak reference to an arena, its counts), for aggregate
+#: statistics only.  Guarded by :data:`_RETIRED_LOCK`.
+_ARENAS: dict[int, tuple] = {}
+_SERIALS = itertools.count()
+
+#: Lifetime totals over arenas retired or collected (so `/v1/stats`
+#: totals do not shrink when a tenant is dropped): the counters of
+#: collected arenas, and the arena and env counts of both.
+_RETIRED = dict.fromkeys(("arenas", "envs") + COUNTERS, 0)
 _RETIRED_LOCK = threading.Lock()
+
+
+def _sweep() -> list:
+    """Fold collected arenas' counts into `_RETIRED`, each exactly once,
+    and return the live arenas.  The caller holds `_RETIRED_LOCK`."""
+    live = []
+    for serial, (ref, counts) in list(_ARENAS.items()):
+        arena = ref()
+        if arena is not None:
+            live.append(arena)
+            continue
+        del _ARENAS[serial]
+        if not counts.retired:
+            _RETIRED["arenas"] += 1
+            _RETIRED["envs"] += counts.envs
+        for name in COUNTERS:
+            _RETIRED[name] += getattr(counts, name)
+    return live
 
 
 class EnvArena:
@@ -92,16 +136,15 @@ class EnvArena:
         #: (env_id, type_id of the stripped type) -> (result, env_id').
         self._strips: dict[tuple[int, int], tuple[str, int]] = {}
         self.max_envs = max_envs
-        self.transition_hits = 0
-        self.transition_misses = 0
-        self.index_merges = 0
-        #: Stored proofs, oldest first (see :meth:`proof`).
-        self._proofs: dict = {}
-        self.proof_hits = 0
-        self.proof_stores = 0
-        self._retired = False
-        with _RETIRED_LOCK:                # adds vs. arena_stats snapshot
-            _LIVE_ARENAS.add(self)
+        self.counts = ArenaCounts()
+        #: Stored proofs: key -> immutable tuple, replaced under the lock
+        #: and read without it (see :meth:`find_proof`).
+        self._proofs: dict[tuple, tuple] = {}
+        #: Every stored ``(key, proof)``, oldest first, for the bound.
+        self._proof_order: list[tuple] = []
+        with _RETIRED_LOCK:
+            _sweep()
+            _ARENAS[next(_SERIALS)] = (weakref.ref(self), self.counts)
         if root is not None:
             self.intern(frozenset(root))
 
@@ -124,6 +167,7 @@ class EnvArena:
             index = self._build_index(members, parent)
             self._members.append(members)
             self._indexes.append(index)
+            self.counts.envs += 1
             env_id = len(self._members) - 1
             # Publish last: any thread that can see the id sees full rows.
             self._ids_by_key[members] = env_id
@@ -144,7 +188,7 @@ class EnvArena:
                 grouped.setdefault(member.result, []).append(member)
             return {result: tuple(group)
                     for result, group in grouped.items()}
-        self.index_merges += 1
+        self.counts.index_merges += 1
         added: dict[str, list[SuccinctType]] = {}
         for member in sorted(members - self._members[parent], key=sort_key):
             added.setdefault(member.result, []).append(member)
@@ -170,9 +214,9 @@ class EnvArena:
         key = (env_id, type_id(target))
         memo = self._strips.get(key)
         if memo is not None:
-            self.transition_hits += 1
+            self.counts.transition_hits += 1
             return memo
-        self.transition_misses += 1
+        self.counts.transition_misses += 1
         members = self._members[env_id]
         if target.arguments <= members:
             extended = env_id
@@ -198,30 +242,52 @@ class EnvArena:
 
     # -- stored proofs -------------------------------------------------------
 
-    def proof(self, key: tuple):
-        """The proof stored under *key*, or ``None``.
+    def find_proof(self, key: tuple, target: str, env_id: int):
+        """``(proof, node)``: a proof stored under *key* whose graph has
+        the request ``target ;env_id ?``, and that request's node; or
+        ``None``.  Lock-free.
 
-        The arena does not look inside keys or proofs; the engine's
-        ``PreparedScene.synthesize`` defines both and says when storing
-        one is exact.
+        The engine's ``PreparedScene.synthesize`` defines keys and proofs
+        and says when answering from one is exact; the arena asks a proof
+        only ``node(target, env_id)`` and ``root_request``.
         """
-        proof = self._proofs.get(key)
-        if proof is not None:
-            self.proof_hits += 1
-        return proof
+        for proof in self._proofs.get(key, ()):
+            node = proof.node(target, env_id)
+            if node is not None:
+                self.counts.proof_hits += 1
+                return proof, node
+        return None
 
     def store_proof(self, key: tuple, proof) -> None:
-        """File *proof* under *key*, dropping the oldest past the bound.
+        """File *proof* under *key*; drop the proofs under *key* whose root
+        request its graph has (it answers all they did) and, past the
+        bound, the oldest.
 
         A retired arena stores nothing: its release freed its proofs.
         """
         with self._lock:
-            if self._retired:
+            if self.counts.retired:
                 return
-            self._proofs[key] = proof
-            self.proof_stores += 1
-            while len(self._proofs) > self.MAX_PROOFS:
-                del self._proofs[next(iter(self._proofs))]
+            kept = tuple(stored for stored in self._proofs.get(key, ())
+                         if proof.node(*stored.root_request) is None)
+            self._proofs[key] = kept + (proof,)
+            self._proof_order = [(stored_key, stored) for stored_key, stored
+                                 in self._proof_order
+                                 if stored_key != key or stored in kept]
+            self._proof_order.append((key, proof))
+            self.counts.proof_stores += 1
+            while len(self._proof_order) > self.MAX_PROOFS:
+                oldest_key, oldest = self._proof_order.pop(0)
+                rest = tuple(stored for stored in self._proofs[oldest_key]
+                             if stored is not oldest)
+                if rest:
+                    self._proofs[oldest_key] = rest
+                else:
+                    del self._proofs[oldest_key]
+
+    def proof_count(self) -> int:
+        """The number of stored proofs."""
+        return len(self._proof_order)
 
     def oversized(self) -> bool:
         """True once the arena should be replaced at the next boundary.
@@ -237,35 +303,27 @@ class EnvArena:
             "env_count": len(self._members),
             "max_envs": self.max_envs,
             "transitions": len(self._strips),
-            "transition_hits": self.transition_hits,
-            "transition_misses": self.transition_misses,
-            "index_merges": self.index_merges,
-            "proofs": len(self._proofs),
-            "proof_hits": self.proof_hits,
-            "proof_stores": self.proof_stores,
+            **{name: getattr(self.counts, name) for name in COUNTERS},
+            "proofs": self.proof_count(),
         }
 
     def retire(self) -> None:
-        """Fold this arena's counters into the lifetime totals and free
-        its stored proofs.
+        """Count this arena as retired and free its stored proofs.
 
         Called when the holder releases the arena (engine scene release);
         the object itself stays usable for any in-flight exploration and
-        is garbage-collected when the last reference drops.
+        is garbage-collected when the last reference drops, which is when
+        :func:`arena_stats` folds its counters into the lifetime totals.
         """
-        if self._retired:
-            return
-        self._retired = True
         with _RETIRED_LOCK:
+            if self.counts.retired:
+                return
+            self.counts.retired = True
             _RETIRED["arenas"] += 1
             _RETIRED["envs"] += len(self._members)
-            _RETIRED["transition_hits"] += self.transition_hits
-            _RETIRED["transition_misses"] += self.transition_misses
-            _RETIRED["index_merges"] += self.index_merges
-            _RETIRED["proof_hits"] += self.proof_hits
-            _RETIRED["proof_stores"] += self.proof_stores
         with self._lock:
             self._proofs.clear()
+            self._proof_order.clear()
 
     def __repr__(self) -> str:
         return (f"EnvArena({len(self._members)} envs, "
@@ -362,31 +420,26 @@ def arena_stats() -> dict:
     """Aggregate arena statistics: live arenas plus retired totals.
 
     The ``transition_memo_hits``-style counters and the proof counters
-    are process-lifetime (live + retired), so serving dashboards see
-    monotone rates; the ``env_count`` and ``proofs`` gauges cover live
-    arenas only.
+    are process-lifetime (every arena, collected ones included), so
+    serving dashboards see monotone rates; the ``env_count`` and
+    ``proofs`` gauges cover live, unretired arenas only.
     """
     with _RETIRED_LOCK:
-        # Snapshot under the same lock that guards registration: a WeakSet
-        # mutated mid-iteration raises RuntimeError, and synthesis threads
-        # create arenas while the serving loop reads stats.
-        live = [arena for arena in _LIVE_ARENAS if not arena._retired]
+        live = _sweep()
         retired = dict(_RETIRED)
+    totals = {name: retired[name] + sum(getattr(arena.counts, name)
+                                        for arena in live)
+              for name in COUNTERS}
+    serving = [arena for arena in live if not arena.counts.retired]
     return {
-        "live_arenas": len(live),
-        "env_count": sum(len(arena) for arena in live),
-        "transition_memo_hits":
-            retired["transition_hits"] + sum(a.transition_hits for a in live),
-        "transition_memo_misses":
-            retired["transition_misses"]
-            + sum(a.transition_misses for a in live),
-        "index_merges":
-            retired["index_merges"] + sum(a.index_merges for a in live),
-        "proofs": sum(len(arena._proofs) for arena in live),
-        "proof_hits":
-            retired["proof_hits"] + sum(a.proof_hits for a in live),
-        "proof_stores":
-            retired["proof_stores"] + sum(a.proof_stores for a in live),
+        "live_arenas": len(serving),
+        "env_count": sum(len(arena) for arena in serving),
+        "transition_memo_hits": totals["transition_hits"],
+        "transition_memo_misses": totals["transition_misses"],
+        "index_merges": totals["index_merges"],
+        "proofs": sum(arena.proof_count() for arena in serving),
+        "proof_hits": totals["proof_hits"],
+        "proof_stores": totals["proof_stores"],
         "retired_arenas": retired["arenas"],
         "retired_envs": retired["envs"],
     }

@@ -18,22 +18,25 @@ prover still yields patterns for everything it has explored.
 
 :meth:`Synthesizer.synthesize` is :meth:`~Synthesizer.prove_result`
 followed by :meth:`~Synthesizer.reconstruct`, and always proves.  The
-split lets the engine reconstruct from a stored :class:`Proof` instead
-(see ``repro.engine.PreparedScene.synthesize``).
+split lets the engine reconstruct from a stored :class:`Proof`, a closed
+explored graph, instead (see ``repro.engine.PreparedScene.synthesize``).
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import accumulate, chain
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.core.config import SynthesisConfig
 from repro.core.environment import Environment
 from repro.core.errors import SynthesisError
-from repro.core.explore import SearchSpace, explore
+from repro.core.explore import Request, SearchSpace, explore
 from repro.core.generate_patterns import (IndexedPatternGenerator,
-                                          PatternSet, generate_patterns)
+                                          PatternSet, inhabited_nodes,
+                                          pattern_set)
 from repro.core.reconstruct import Reconstructor
 from repro.core.subtyping import (SubtypeGraph, environment_with_subtyping,
                                   erase_coercions)
@@ -83,7 +86,7 @@ class SynthesisResult:
     reconstruction_truncated: bool = False
     #: True when explore and patterns did not run: the patterns and work
     #: counts came from a stored :class:`Proof`, and ``explore_seconds``
-    #: is the lookup's time.
+    #: is the lookup's time (walk included).
     prove_reused: bool = False
 
     @property
@@ -104,28 +107,103 @@ class SynthesisResult:
                 f"total={self.total_seconds * 1000:.1f} ms)")
 
 
-@dataclass(frozen=True)
 class Proof:
-    """What reconstruction reads of one prove, plus the prove's work counts.
+    """One closed explored graph and its pattern set.
 
-    Holds no :class:`SearchSpace`, so a stored proof costs only its
-    pattern set.
+    An exploration that no budget cut closes its graph: every node it
+    mentions was visited.  A node's inhabitation depends only on the
+    nodes below it (§5.4), so any goal whose root request is a node here
+    has its proof inside the graph, and :meth:`answer` gives it without
+    exploring.
+
+    The graph is flat int data: CSR successors per node (children
+    deduplicated), per-node edge counts, an inhabited bitmap, and ``env
+    id -> {target -> node}``.  It refers to neither the arena that stores
+    it nor the :class:`SearchSpace` it came from; a reference back to the
+    arena would make the two a cycle that outlives an evicted scene until
+    a collection.
     """
 
-    patterns: PatternSet
-    nodes_explored: int
-    edges_found: int
-    inhabited: bool
+    __slots__ = ("patterns", "root", "_targets", "_envs", "_offsets",
+                 "_successors", "_edge_counts", "_edges", "_inhabited",
+                 "_nodes")
 
-    def reused_result(self, lookup_seconds: float) -> SynthesisResult:
-        """A result that reuses this proof: its work counts, and the
-        lookup's time as explore time."""
-        return SynthesisResult(inhabited=self.inhabited,
-                               explore_seconds=lookup_seconds,
-                               nodes_explored=self.nodes_explored,
-                               edges_found=self.edges_found,
-                               pattern_count=len(self.patterns),
-                               prove_reused=True)
+    def __init__(self, space: SearchSpace, patterns: PatternSet,
+                 inhabited: Iterable[int]):
+        """The graph of untruncated *space*, whose fixpoint gave
+        *patterns* and the *inhabited* node ids."""
+        isp = space.indexed
+        self.patterns = patterns
+        self.root = isp.root
+        self._targets = tuple(isp.node_targets)
+        self._envs = array("i", isp.node_envs)
+        self._edges = isp.edge_count()
+        spans = [isp.node_edges[node] for node in range(len(self._targets))]
+        edge_children = isp.edge_children
+        children = [set().union(*edge_children[start:end])
+                    for start, end in spans]
+        self._edge_counts = array("i", [end - start for start, end in spans])
+        self._offsets = array("i", [0])
+        self._offsets.extend(accumulate(map(len, children)))
+        self._successors = array("i", chain.from_iterable(children))
+        self._inhabited = bytearray(len(self._targets))
+        for node in inhabited:
+            self._inhabited[node] = 1
+        self._nodes: dict[int, dict[str, int]] = {}
+        for node, (target, env_id) in enumerate(zip(self._targets,
+                                                    self._envs)):
+            self._nodes.setdefault(env_id, {})[target] = node
+
+    def node(self, target: str, env_id: int) -> Optional[int]:
+        """The node of request ``target ;env_id ?``, or ``None``."""
+        targets = self._nodes.get(env_id)
+        return None if targets is None else targets.get(target)
+
+    @property
+    def root_request(self) -> tuple[str, int]:
+        """The ``(target, env id)`` the graph was explored from."""
+        return self._targets[self.root], self._envs[self.root]
+
+    def answer(self, node: int,
+               members: Callable[[int], frozenset],
+               ) -> tuple[SynthesisResult, PatternSet]:
+        """What a fresh prove from *node* gives: its work counts (no
+        timings) and pattern set.
+
+        The root's closure, or any walk that reaches every node, is the
+        whole graph: the stored pattern set and counts.  A strict
+        sub-closure has the stored pattern set restricted to its
+        inhabited requests, whose envs *members* (the arena's
+        ``members``) gives.
+        """
+        reached = self._closure(node)
+        if len(reached) == len(self._targets):
+            patterns, edges = self.patterns, self._edges
+        else:
+            patterns = self.patterns.restricted(
+                Request(self._targets[v], members(self._envs[v]))
+                for v in reached if self._inhabited[v])
+            edges = sum(self._edge_counts[v] for v in reached)
+        return SynthesisResult(inhabited=bool(self._inhabited[node]),
+                               nodes_explored=len(reached),
+                               edges_found=edges,
+                               pattern_count=len(patterns),
+                               prove_reused=True), patterns
+
+    def _closure(self, node: int) -> Sequence[int]:
+        """*node* and every node below it."""
+        if node == self.root:
+            return range(len(self._targets))
+        offsets, successors = self._offsets, self._successors
+        seen = bytearray(len(self._targets))
+        seen[node] = 1
+        reached = [node]
+        for current in reached:                  # grows as it goes: BFS
+            for child in successors[offsets[current]:offsets[current + 1]]:
+                if not seen[child]:
+                    seen[child] = 1
+                    reached.append(child)
+        return reached
 
 
 class Synthesizer:
@@ -205,6 +283,11 @@ class Synthesizer:
         (:meth:`Environment.succinct_arena`), so repeated queries against
         one scene share STRIP transitions and MATCH indexes.
         """
+        space, patterns, _ = self._prove(goal)
+        return space, patterns
+
+    def _prove(self, goal: Type) -> tuple[SearchSpace, PatternSet, set]:
+        """:meth:`prove`, plus the inhabited node ids."""
         succinct_goal = sigma(goal)
         priority = None
         if self.config.prioritised_exploration and not self.policy.uniform:
@@ -219,15 +302,14 @@ class Synthesizer:
                             time_limit=self.config.prover_time_limit,
                             arena=arena,
                             on_edges_indexed=generator.add_span)
-            patterns = generator.result()
-        else:
-            space = explore(self._env_key, succinct_goal,
-                            priority=priority,
-                            max_nodes=self.config.max_explore_nodes,
-                            time_limit=self.config.prover_time_limit,
-                            arena=arena)
-            patterns = generate_patterns(space)
-        return space, patterns
+            return space, generator.result(), generator.inhabited
+        space = explore(self._env_key, succinct_goal,
+                        priority=priority,
+                        max_nodes=self.config.max_explore_nodes,
+                        time_limit=self.config.prover_time_limit,
+                        arena=arena)
+        inhabited = inhabited_nodes(space.indexed)
+        return space, pattern_set(space.indexed, inhabited), inhabited
 
     def is_inhabited(self, goal: Type) -> bool:
         """Decide plain type inhabitation (the provability question)."""
@@ -248,7 +330,7 @@ class Synthesizer:
         or without it.
         """
         limit = self.snippet_limit(n)
-        result, patterns = self.prove_result(goal)
+        result, patterns, _, _ = self.prove_result(goal)
         return self.reconstruct(goal, patterns, result, limit, on_snippet)
 
     def snippet_limit(self, n: Optional[int]) -> int:
@@ -258,16 +340,19 @@ class Synthesizer:
             raise SynthesisError(f"snippet limit must be positive, got {limit}")
         return limit
 
-    def prove_result(self, goal: Type) -> tuple[SynthesisResult, PatternSet]:
+    def prove_result(self, goal: Type,
+                     ) -> tuple[SynthesisResult, PatternSet, SearchSpace, set]:
         """Explore + pattern generation for *goal*, timed.
 
-        Returns the pattern set and a result holding only the prove's
-        statistics, for :meth:`reconstruct` to complete.
+        Returns a result holding only the prove's statistics and the
+        pattern set, for :meth:`reconstruct` to complete, then what a
+        :class:`Proof` is built from: the explored space and the
+        inhabited node ids.
         """
         result = SynthesisResult()
 
         prove_start = time.perf_counter()
-        space, patterns = self.prove(goal)
+        space, patterns, inhabited = self._prove(goal)
         prove_elapsed = time.perf_counter() - prove_start
 
         result.nodes_explored = space.node_count()
@@ -280,7 +365,7 @@ class Synthesizer:
         # the remainder to patterns.
         result.explore_seconds = min(space.elapsed_seconds, prove_elapsed)
         result.patterns_seconds = max(prove_elapsed - result.explore_seconds, 0.0)
-        return result, patterns
+        return result, patterns, space, inhabited
 
     def reconstruct(self, goal: Type, patterns: PatternSet,
                     result: SynthesisResult, limit: int,

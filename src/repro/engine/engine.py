@@ -21,14 +21,15 @@ environment, its succinct signature, and the interned succinct types.  A
 Engine-served results are *identical* to direct
 :meth:`~repro.core.synthesizer.Synthesizer.synthesize` output: a cache miss
 runs the very same pipeline over the very same prepared environment, and a
-hit returns what that run produced.  A miss proves at most once per scene
-state (:meth:`PreparedScene.synthesize`): a goal already proved over the
-same sigma(Gamma_o) reconstructs from the stored proof, with the same
-snippets and work counts as a fresh prove.  An engine constructed with a
-non-empty :class:`~repro.core.ranking.RankingPipeline` re-scores results
-*after* the cache — the cache (and its snapshots) always hold base,
-un-reranked results, so one cached synthesis serves every per-query
-context and the fingerprint-keyed cache never fragments on hints.
+hit returns what that run produced.  A miss proves at most once per root
+env (:meth:`PreparedScene.synthesize`): a goal whose request lies inside a
+graph already explored over the same sigma(Gamma_o) reconstructs from that
+graph's stored patterns, with the same snippets and work counts as a fresh
+prove.  An engine constructed with a non-empty
+:class:`~repro.core.ranking.RankingPipeline` re-scores results *after* the
+cache — the cache (and its snapshots) always hold base, un-reranked
+results, so one cached synthesis serves every per-query context and the
+fingerprint-keyed cache never fragments on hints.
 
 One synthesis runs on one core, in the calling thread.  More cores serve
 more traffic through more ``repro route`` backends, each a process with
@@ -181,22 +182,38 @@ class PreparedScene:
     def synthesize(self, goal: Type, policy: WeightPolicy,
                    config: SynthesisConfig, n: Optional[int] = None,
                    on_snippet=None) -> SynthesisResult:
-        """One synthesis over this scene, proving once per scene state.
+        """One synthesis over this scene, proving once per root env.
 
-        A proof is stored on the scene's arena under ``(policy, root
-        sigma(Gamma_o) id, sigma(goal), max_explore_nodes)``, which edits
-        that keep sigma(Gamma_o) hand on with the arena.  A later call
-        with that key reconstructs from the stored patterns; everything
-        else runs :meth:`Synthesizer.synthesize`'s prove.  Reuse is
-        exact.  Without truncation, exploration reaches one closure in
-        any order: the §5.6 weight w(t, Gamma_o), which an edit can
-        change, orders the work but not its result, and the node and
-        edge counts are that closure's.  The pattern fixpoint over the
-        closure is unique, and ``PatternSet.build`` indexes it in
-        ``sort_key`` order.  So only runs that no budget cut are stored,
-        and only those that explored fewer nodes than the node budget,
-        which no exploration order could then reach.  The policy is in
-        the key so that each Table 2 variant's served run proves.
+        A prove that no node or time budget cut, and that explored fewer
+        nodes than the node budget (which another exploration order could
+        reach), stores its explored graph on the scene's arena (a
+        :class:`~repro.core.synthesizer.Proof`) under ``(policy, root
+        sigma(Gamma_o) id, max_explore_nodes)``; edits that keep
+        sigma(Gamma_o) hand the arena on.  A later call whose root request
+        ``STRIP(sigma(goal), sigma(Gamma_o))`` is a node of a stored graph
+        reconstructs from it without exploring.  Any other call runs
+        :meth:`Synthesizer.synthesize`'s prove, and its graph replaces the
+        stored ones whose root it contains.
+
+        Reuse is exact:
+
+        * an untruncated graph is closed: every node it mentions was
+          visited;
+        * so exploring a node from scratch reaches exactly its reachable
+          set in the graph, with the same MATCH edges; the §5.6 weight
+          w(t, Gamma_o), which an edit can change, orders that work but
+          not its result;
+        * inhabitation of that set agrees with the stored fixpoint,
+          because a node depends only on its successors;
+        * a node's patterns are its firing edges, and ``PatternSet.build``
+          orders each slice by ``sort_key``, so the stored set restricted
+          to the reachable set's inhabited requests equals a fresh build;
+        * the reachable set has no more nodes than the stored graph, which
+          had fewer than the node budget, so a fresh run would not be cut
+          either.
+
+        The policy is in the key so that each Table 2 variant's served run
+        proves.
         """
         synthesizer = self.synthesizer(policy, config)
         limit = synthesizer.snippet_limit(n)
@@ -204,19 +221,19 @@ class PreparedScene:
         environment = self.environment
         arena = environment.succinct_arena()
         budget = config.max_explore_nodes
-        key = (policy, arena.intern(environment.succinct_environment()),
-               sigma(goal), budget)
-        proof = arena.proof(key)
-        if proof is not None:
-            result = proof.reused_result(time.perf_counter() - start)
-            patterns = proof.patterns
+        root_env = arena.intern(environment.succinct_environment())
+        key = (policy, root_env, budget)
+        found = arena.find_proof(key, *arena.strip(sigma(goal), root_env))
+        if found is not None:
+            proof, node = found
+            result, patterns = proof.answer(node, arena.members)
+            result.explore_seconds = time.perf_counter() - start
         else:
-            result, patterns = synthesizer.prove_result(goal)
+            result, patterns, space, inhabited = \
+                synthesizer.prove_result(goal)
             if not result.explore_truncated and (
                     budget is None or result.nodes_explored < budget):
-                arena.store_proof(key, Proof(
-                    patterns, result.nodes_explored, result.edges_found,
-                    result.inhabited))
+                arena.store_proof(key, Proof(space, patterns, inhabited))
         return synthesizer.reconstruct(goal, patterns, result, limit,
                                        on_snippet)
 

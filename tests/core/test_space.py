@@ -1,13 +1,33 @@
 """Unit tests for repro.core.space (the environment arena)."""
 
 from repro.core.environment import Environment
+from repro.core.explore import explore
+from repro.core.generate_patterns import IndexedPatternGenerator
 from repro.core.space import EnvArena, arena_stats
 from repro.core.succinct import primitive, sort_key, succinct, type_id
+from repro.core.synthesizer import Proof
 from tests.helpers import simple_env
 
 
 def _env(*pairs):
     return simple_env(*pairs).succinct_environment()
+
+
+#: Three disjoint goals: B's graph is {B, A}, D's {D, C}, E's {E}.
+DISJOINT = _env(("a", "A"), ("f", "A -> B"), ("c", "C"), ("g", "C -> D"),
+                ("e", "E"))
+
+
+def _proof(arena, goal):
+    """The closed graph of *goal* over `DISJOINT`, explored in *arena*."""
+    generator = IndexedPatternGenerator()
+    space = explore(DISJOINT, primitive(goal), arena=arena,
+                    on_edges_indexed=generator.add_span)
+    return Proof(space, generator.result(), generator.inhabited)
+
+
+def _find(arena, key, target):
+    return arena.find_proof(key, target, arena.intern(DISJOINT))
 
 
 class TestInterning:
@@ -61,11 +81,11 @@ class TestStrip:
         env_id = arena.intern(env)
         target = succinct({primitive("Z")}, "B")
         first = arena.strip(target, env_id)
-        misses = arena.transition_misses
+        misses = arena.counts.transition_misses
         second = arena.strip(target, env_id)
         assert first == second
-        assert arena.transition_misses == misses
-        assert arena.transition_hits >= 1
+        assert arena.counts.transition_misses == misses
+        assert arena.counts.transition_hits >= 1
 
     def test_incremental_index_matches_full_sort(self):
         env = _env(("a", "A"), ("f", "A -> B"), ("g", "B -> B"),
@@ -83,7 +103,7 @@ class TestStrip:
             (member for member in extended_env if member.result == "B"),
             key=sort_key))
         assert merged == expected
-        assert arena.index_merges >= 1
+        assert arena.counts.index_merges >= 1
 
 
 class TestLifecycle:
@@ -135,29 +155,60 @@ class TestLifecycle:
 
     def test_stored_proofs_count_hits_and_stay_bounded(self, monkeypatch):
         monkeypatch.setattr(EnvArena, "MAX_PROOFS", 2)
-        arena = EnvArena(_env(("a", "A")))
-        assert arena.proof("k1") is None
-        for key in ("k1", "k2", "k3"):
-            arena.store_proof(key, f"proof-{key}")
-        assert arena.proof("k1") is None            # oldest dropped
-        assert arena.proof("k3") == "proof-k3"
-        assert arena.stats()["proofs"] == 2
-        assert arena.stats()["proof_stores"] == 3
-        assert arena.stats()["proof_hits"] == 1
+        arena = EnvArena(DISJOINT)
+        assert _find(arena, "k", "B") is None
+        for goal in ("B", "D", "E"):
+            arena.store_proof("k", _proof(arena, goal))
+        assert _find(arena, "k", "B") is None       # oldest dropped
+        assert _find(arena, "k", "A") is None
+        proof, node = _find(arena, "k", "C")         # a node below D
+        assert proof.node("D", arena.intern(DISJOINT)) == proof.root
+        assert node != proof.root
+        assert _find(arena, "other", "C") is None     # keys stay apart
+        stats = arena.stats()
+        assert (stats["proofs"], stats["proof_stores"],
+                stats["proof_hits"]) == (2, 3, 1)
+
+    def test_a_graph_replaces_those_whose_root_it_contains(self):
+        arena = EnvArena(DISJOINT)
+        inner = _proof(arena, "A")
+        arena.store_proof("k", inner)
+        arena.store_proof("k", _proof(arena, "D"))
+        arena.store_proof("k", _proof(arena, "B"))  # contains A's root
+        assert arena.proof_count() == 2
+        assert _find(arena, "k", "A")[0] is not inner
+        assert {_find(arena, "k", goal)[0].root_request[0]
+                for goal in "ABCD"} == {"B", "D"}
 
     def test_retire_frees_proofs_and_keeps_their_counts(self):
-        arena = EnvArena(_env(("a", "A")))
-        arena.store_proof("k", "proof")
-        arena.proof("k")
+        arena = EnvArena(DISJOINT)
+        arena.store_proof("k", _proof(arena, "B"))
+        assert _find(arena, "k", "A") is not None
         before = arena_stats()
         arena.retire()
         after = arena_stats()
-        assert arena.proof("k") is None
-        arena.store_proof("k", "proof")             # retired: not stored
+        assert _find(arena, "k", "A") is None
+        arena.store_proof("k", _proof(arena, "B"))  # retired: not stored
         assert arena.stats()["proofs"] == 0
         assert after["proofs"] == before["proofs"] - 1
         assert after["proof_hits"] == before["proof_hits"]
         assert after["proof_stores"] == before["proof_stores"]
+
+    def test_a_collected_arena_keeps_its_counts_in_the_totals(self):
+        import weakref
+
+        arena = EnvArena(DISJOINT)
+        arena.store_proof("k", _proof(arena, "B"))
+        _find(arena, "k", "A")
+        before = arena_stats()
+        collected = weakref.ref(arena)
+        del arena                       # collected without retire()
+        assert collected() is None
+        after = arena_stats()
+        for key in ("transition_memo_hits", "transition_memo_misses",
+                    "index_merges", "proof_hits", "proof_stores"):
+            assert after[key] >= before[key], key
+        assert after["retired_arenas"] >= before["retired_arenas"] + 1
 
     def test_type_ids_stable_and_distinct(self):
         first = primitive("A")

@@ -112,3 +112,60 @@ class TestReleaseScene:
         assert engine.purge_results(first.fingerprint) == 1
         assert engine.purge_results(first.fingerprint) == 0
         assert len(engine.results) == 1
+
+
+class TestEviction:
+    """The scene LRU evicts without ``release_scene``: the evicted scene's
+    arena must still go, and take nothing from the lifetime totals."""
+
+    @staticmethod
+    def _evicted_arena(engine):
+        """Prove and reuse on SCENE, then evict it; a weak reference to
+        its arena."""
+        import weakref
+
+        from repro.core.types import parse
+
+        prepared = _prepare(engine, SCENE)
+        engine.complete(prepared)
+        assert engine.complete(prepared, parse("String")).result.prove_reused
+        arena = prepared.environment.succinct_arena()
+        assert arena.proof_count() == 1
+        evicted = weakref.ref(arena)
+        del prepared, arena
+        _prepare(engine, OTHER_SCENE)
+        return evicted
+
+    def test_a_stored_graph_keeps_no_arena_alive(self):
+        import gc
+
+        engine = CompletionEngine(scene_entries=1)
+        gc.disable()
+        try:
+            evicted = self._evicted_arena(engine)
+            assert evicted() is None    # reference counting alone freed it
+        finally:
+            gc.enable()
+
+    def test_lifetime_totals_never_decrease_across_an_eviction(self):
+        import gc
+
+        from repro.core.space import arena_stats
+
+        engine = CompletionEngine(scene_entries=1)
+        first = _prepare(engine, OTHER_SCENE)
+        engine.complete(first)
+        before = arena_stats()
+        del first
+        evicted = self._evicted_arena(engine)
+        middle = arena_stats()
+        gc.unfreeze()
+        gc.collect()
+        assert evicted() is None
+        after = arena_stats()
+        for key in ("transition_memo_hits", "transition_memo_misses",
+                    "index_merges", "proof_hits", "proof_stores",
+                    "retired_arenas"):
+            assert before[key] <= middle[key] <= after[key], key
+        assert after["proof_hits"] >= before["proof_hits"] + 1
+        assert after["proof_stores"] >= before["proof_stores"] + 1

@@ -1,14 +1,17 @@
-"""Proof reuse: an engine that proves once per scene state answers like a
+"""Proof reuse: an engine that proves once per root env answers like a
 fresh one.
 
-``engine.complete`` reconstructs a result-cache miss from the proof stored
-on the scene's arena when the same ``(policy, sigma(Gamma_o), sigma(goal),
-node budget)`` was proved before.  Over random edit scripts — locals of
-types the scene already has, locals and imports of new types (which change
-sigma(Gamma_o)), edits that change the weight w(t) of an explored type
-without changing sigma(Gamma_o), and undos — every answer must equal a
-fresh engine's over the same final scene text: snippets, weights, ranks
-and work counts.  A run cut by a small node budget must never be reused.
+``engine.complete`` reconstructs a result-cache miss from a graph stored
+on the scene's arena under the same ``(policy, sigma(Gamma_o), node
+budget)`` when the goal's root request is one of its nodes: from the
+whole stored pattern set when the goal's closure is the whole graph, from
+the set restricted to a strict sub-closure otherwise.  Over random edit
+scripts — locals of types the scene already has, locals and imports of new
+types (which change sigma(Gamma_o)), edits that change the weight w(t) of
+an explored type without changing sigma(Gamma_o), and undos — every answer
+must equal a fresh engine's over the same final scene text: snippets,
+weights, ranks and work counts.  A run cut by a small node budget must
+never be reused.
 """
 
 from hypothesis import given, settings
@@ -202,6 +205,46 @@ def test_a_new_n_after_an_edit_and_an_undo_reuses_the_proof():
     assert engine.complete(undone, n=4).result.prove_reused
 
 
+#: Goals asked in order over BASE_SCENE, with how each must be answered:
+#: by a prove, or from a stored graph that it covers whole or in part.
+#: PrintWriter's graph has five nodes: PrintWriter, Writer, FileWriter,
+#: BufferedWriter and String.
+CROSS_GOALS = (
+    ("String", "prove"),                    # stores {String}
+    ("PrintWriter", "prove"),               # replaces the String graph
+    ("Writer", "whole"),                    # reaches PrintWriter again
+    ("String", "part"),
+    ("Writer -> FileWriter", "part"),       # Writer is in sigma(Gamma_o)
+    ("String -> BufferedWriter", "whole"),
+    ("FileReader -> Writer", "prove"),      # FileReader extends the env
+    ("FileReader -> FileWriter", "part"),   # inside the graph just stored
+    ("Unit", "prove"),                      # no declaration returns Unit
+    ("PrintWriter", "whole"),               # a new n: the root
+)
+
+
+def test_goals_inside_a_stored_graph_answer_like_a_fresh_engine():
+    engine = CompletionEngine()
+    loaded = load_environment_text(BASE_SCENE)
+    prepared = engine.prepare(loaded.environment, loaded.subtypes,
+                              goal=loaded.goal, name="reuse")
+    arena = prepared.environment.succinct_arena()
+    whole = None
+    for n, (goal, path) in enumerate(CROSS_GOALS, start=1):
+        query = (goal, "full", n, None)
+        served, result = _answer(engine, prepared, query)
+        assert served == _answer(*_fresh(prepared), query)[0], goal
+        assert result.prove_reused == (path != "prove"), goal
+        if goal == "PrintWriter" and path == "prove":
+            whole = result.nodes_explored
+            assert arena.proof_count() == 1
+        elif path == "whole":
+            assert result.nodes_explored == whole, goal
+        elif path == "part":
+            assert result.nodes_explored < whole, goal
+    assert arena.proof_count() == 3
+
+
 def test_threads_sharing_a_scene_store_and_reuse_proofs_safely(monkeypatch):
     """Executor threads share one arena's proof table: with a tiny bound
     (every store evicts) and a short switch interval, every answer must
@@ -251,4 +294,4 @@ def test_threads_sharing_a_scene_store_and_reuse_proofs_safely(monkeypatch):
         assert len(answers[query]) == 8
         for result in answers[query]:
             assert _answer_of(result) == expected[query]
-    assert len(prepared.environment.succinct_arena()._proofs) <= 2
+    assert prepared.environment.succinct_arena().proof_count() <= 2
