@@ -17,22 +17,22 @@ Usage::
         [--output benchmarks/out/BENCH_core.json]
 
 ``--check`` re-measures and fails (exit 1) when the summed prove time
-*or* the summed reconstruction time regresses more than
-``--max-regression`` (default 25%) against the ``current`` numbers
-committed in the given file — the CI slow job runs exactly this, so the
-repository carries a perf trajectory that PRs must defend on both
-phases.  Timings are machine-dependent; the gate compares sums across
-rows to damp per-row noise.
+*or* the summed reconstruction time, over the rows both reports carry,
+grows more than 25% against the ``current`` numbers committed in the
+given file (``GATES``, through :mod:`repro.bench.gate`) — the CI slow
+job runs exactly this, so the repository carries a perf trajectory that
+PRs must defend on both phases.  Timings are machine-dependent; the gate
+compares sums across rows to damp per-row noise.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from typing import Optional, Sequence
 
+from repro.bench import gate
 from repro.bench.timing import median_total_triple
 
 #: Default measured rows: a spread of scene sizes, including the largest
@@ -45,6 +45,13 @@ SCHEMA = "bench-core/v1"
 
 #: The acceptance row (largest bundled scene by declaration count).
 LARGEST_ROW = 28
+
+#: Both phases are gated independently: a change that halves prove but
+#: doubles recon must not pass on the total.
+GATES = (
+    gate.Gate("prove_ms", gate.per_row("current", field="prove_ms"), 0.25),
+    gate.Gate("recon_ms", gate.per_row("current", field="recon_ms"), 0.25),
+)
 
 
 def measure_rows(rows: Sequence[int] = DEFAULT_ROWS,
@@ -126,34 +133,6 @@ def build_report(rows: dict, baseline: Optional[dict] = None,
     return report
 
 
-def check_regression(committed: dict, measured: dict,
-                     max_regression: float) -> list[str]:
-    """Regression findings of *measured* against the *committed* report.
-
-    Gates both phases independently: summed prove time and summed recon
-    time each may not regress more than *max_regression* against the
-    committed ``current`` numbers — a PR that halves prove but doubles
-    recon must not pass on the total.
-    """
-    failures = []
-    reference = committed.get("current", {})
-    common = [number for number in reference if number in measured]
-    if not common:
-        return [f"no comparable rows between committed and measured sets "
-                f"({sorted(reference)} vs {sorted(measured)})"]
-    for field, label in (("prove_ms", "prove"), ("recon_ms", "recon")):
-        committed_sum = sum(reference[number][field] for number in common)
-        measured_sum = sum(measured[number][field] for number in common)
-        allowed = committed_sum * (1.0 + max_regression)
-        if measured_sum > allowed:
-            failures.append(
-                f"{label}-time regression: {measured_sum:.1f} ms summed "
-                f"over rows {common} exceeds the committed "
-                f"{committed_sum:.1f} ms by more than {max_regression:.0%} "
-                f"(limit {allowed:.1f} ms)")
-    return failures
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.bench.core_bench",
@@ -167,24 +146,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--output", default=None,
                         help="write the measured report to this path")
     parser.add_argument("--check", default=None, metavar="BENCH_core.json",
+                        type=gate.report_loader(SCHEMA),
                         help="compare against a committed report and fail "
                              "on prove- or recon-time regression")
-    parser.add_argument("--max-regression", type=float, default=0.25,
-                        help="allowed fractional prove/recon-time "
-                             "regression for --check (default 0.25)")
     args = parser.parse_args(argv)
 
     rows = DEFAULT_ROWS
     if args.rows:
         rows = tuple(int(part) for part in args.rows.split(",") if part.strip())
 
-    committed = None
-    baseline = None
-    if args.check:
-        with open(args.check, "r", encoding="utf-8") as handle:
-            committed = json.load(handle)
-        baseline = committed.get("baseline")
-
+    baseline = args.check.get("baseline") if args.check else None
     measured = measure_rows(rows, repeats=args.repeats)
     report = build_report(measured, baseline=baseline, repeats=args.repeats)
 
@@ -197,22 +168,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"recon {summary['recon_ms_sum']:.1f} ms, "
           f"total {summary['total_ms_sum']:.1f} ms")
 
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.output}")
-
-    if committed is not None:
-        failures = check_regression(committed, measured,
-                                    args.max_regression)
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"regression check passed (within {args.max_regression:.0%} "
-              f"of committed prove and recon times)")
-    return 0
+    return gate.conclude(report, [], GATES, args.check, args.output)
 
 
 if __name__ == "__main__":

@@ -26,27 +26,28 @@ Usage::
     python -m repro.bench.edit_bench --check BENCH_edit.json \
         [--output benchmarks/out/BENCH_edit.json]
 
-The built-in gate is structural, not trajectory-based: the run fails
+The built-in check is structural, not trajectory-based: the run fails
 (exit 1) when the median delta re-prepare does not beat the median full
 rebuild for a single-declaration edit — that ordering is the reason the
 incremental subsystem exists, so losing it is a bug, not noise — or when
 any editor-loop row's post-edit miss exceeds ``MAX_POST_EDIT_RATIO``
-times its warm miss.  ``--check`` additionally fails when the summed
-delta time regresses more than ``--max-regression`` against the
-committed report.  CI runs this non-blocking and uploads the measured
-report next to ``BENCH_core``.
+times its warm miss.  ``--check`` additionally fails when the delta
+time summed over the edit kinds both reports carry grows more than 50%
+against the committed report (``GATES``, through
+:mod:`repro.bench.gate`; single edits are noisy).  CI runs this
+non-blocking and uploads the measured report next to ``BENCH_core``.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
 import statistics
 import sys
 import time
 from typing import Optional, Sequence
 
+from repro.bench import gate
 from repro.bench.core_bench import LARGEST_ROW
 
 DEFAULT_REPEATS = 5
@@ -61,6 +62,11 @@ EDITOR_ROWS = (9, 21, 28)
 #: editor-loop row, one that drops its memos 2-3x; the margin over 1.2x
 #: absorbs runner noise.
 MAX_POST_EDIT_RATIO = 1.5
+
+GATES = (
+    gate.Gate("delta_ms", gate.per_row("current", "edits", field="delta_ms"),
+              0.5),
+)
 
 
 def _prepare_base(engine, row: int = LARGEST_ROW) -> tuple:
@@ -231,7 +237,7 @@ def build_report(measured: dict) -> dict:
 
 
 def check_ordering(measured: dict) -> list[str]:
-    """The structural gate: delta must beat rebuild on every edit kind,
+    """The structural check: delta must beat rebuild on every edit kind,
     and the completion after an edit must stay near a warm miss."""
     failures = []
     for kind, section in measured["edits"].items():
@@ -251,24 +257,6 @@ def check_ordering(measured: dict) -> list[str]:
     return failures
 
 
-def check_regression(committed: dict, measured: dict,
-                     max_regression: float) -> list[str]:
-    """Trajectory gate of *measured* against the *committed* report."""
-    reference = committed.get("current", {}).get("edits", {})
-    common = [kind for kind in reference if kind in measured["edits"]]
-    if not common:
-        return ["no comparable edit kinds between committed and measured"]
-    committed_sum = sum(reference[kind]["delta_ms"] for kind in common)
-    measured_sum = sum(measured["edits"][kind]["delta_ms"]
-                       for kind in common)
-    allowed = committed_sum * (1.0 + max_regression)
-    if measured_sum > allowed:
-        return [f"delta-time regression: {measured_sum:.1f} ms summed over "
-                f"{common} exceeds the committed {committed_sum:.1f} ms by "
-                f"more than {max_regression:.0%} (limit {allowed:.1f} ms)"]
-    return []
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.bench.edit_bench",
@@ -280,18 +268,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--output", default=None,
                         help="write the measured report to this path")
     parser.add_argument("--check", default=None, metavar="BENCH_edit.json",
+                        type=gate.report_loader(SCHEMA),
                         help="compare against a committed report and fail "
                              "on delta-time regression")
-    parser.add_argument("--max-regression", type=float, default=0.5,
-                        help="allowed fractional delta-time regression "
-                             "for --check (default 0.5 — single edits "
-                             "are noisy)")
     args = parser.parse_args(argv)
-
-    committed = None
-    if args.check:
-        with open(args.check, "r", encoding="utf-8") as handle:
-            committed = json.load(handle)
 
     measured = measure(repeats=args.repeats)
     report = build_report(measured)
@@ -308,24 +288,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"({section['post_edit_ratio']:.2f}x) on "
               f"{section['declarations']} declarations")
 
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.output}")
-
-    failures = check_ordering(measured)
-    if committed is not None and not failures:
-        failures = check_regression(committed, measured,
-                                    args.max_regression)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if failures:
-        return 1
-    print("edit-path ordering holds: delta re-prepare beats the full "
-          "rebuild on both edit kinds, and every post-edit miss is within "
-          f"{MAX_POST_EDIT_RATIO}x of its warm miss")
-    return 0
+    return gate.conclude(report, check_ordering(measured), GATES,
+                         args.check, args.output)
 
 
 if __name__ == "__main__":

@@ -26,11 +26,13 @@ Usage::
     python -m repro.bench.rank_bench --output BENCH_rank.json
     python -m repro.bench.rank_bench --check BENCH_rank.json
 
-``--check`` re-measures and fails (exit 1) when the summed expected rank
-or the MRR of the standard chain regresses more than ``--max-regression``
-(default 25%) against the committed numbers, or when the standard chain
-stops improving on the base order outright — the structural claim this
-PR's ranking layer makes.
+``--check`` re-measures and fails (exit 1) when, over the scenes both
+reports carry, the summed standard-chain rank grows or the summed
+reciprocal rank (the MRR over those scenes) shrinks more than 25%
+against the committed report, or when the trace replay's MRR shrinks
+more than 25% (``GATES``, through :mod:`repro.bench.gate`).  Every run
+also fails when the standard chain ranks worse than the base order it
+re-scores — the structural claim of the ranking layer.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
+
+from repro.bench import gate
 
 SCHEMA = "bench-rank/v1"
 
@@ -231,55 +235,35 @@ def _weigher_names() -> list:
     return list(RankingPipeline.standard().names)
 
 
-def check_regression(committed: dict, report: dict,
-                     max_regression: float) -> list[str]:
-    """Regression findings of *report* against the *committed* report.
+def _reciprocal_ranks(report: dict) -> dict:
+    return {scene: (1.0 / row["rank_standard"] if row["found_standard"]
+                    else 0.0)
+            for scene, row in report.get("scenes", {}).items()}
 
-    Three gates: the standard chain must still improve on (or equal) the
-    base order's summed expected rank over the corpus scenes — the
-    structural claim of the ranking layer; the summed standard rank may
-    not regress more than *max_regression* against the committed value;
-    and the standard MRR may not drop by more than the same fraction.
-    The trace section is gated on MRR alone (its event count is part of
-    the workload identity, not the quality signal).
-    """
-    failures = []
+
+def _trace_mrr(report: dict) -> dict:
+    return {"trace": (report.get("trace") or {}).get("mrr_standard")}
+
+
+#: The trace section is gated on MRR alone: its event count is part of
+#: the workload's identity, not the quality signal.
+GATES = (
+    gate.Gate("rank_standard", gate.per_row("scenes", field="rank_standard"),
+              0.25),
+    gate.Gate("reciprocal_rank", _reciprocal_ranks, 0.25, better="higher"),
+    gate.Gate("trace.mrr_standard", _trace_mrr, 0.25, better="higher"),
+)
+
+
+def check_chain(report: dict) -> list[str]:
+    """The structural check: over the corpus scenes, the standard chain's
+    summed expected rank must not be worse than the base order's."""
     summary = report["summary"]
     if summary["rank_sum_standard"] > summary["rank_sum_base"]:
-        failures.append(
-            f"structural: the standard chain worsens the summed expected "
-            f"rank over the corpus scenes ({summary['rank_sum_standard']} "
-            f"vs base {summary['rank_sum_base']})")
-    reference = committed.get("summary", {})
-    ref_sum = reference.get("rank_sum_standard")
-    if ref_sum:
-        allowed = ref_sum * (1.0 + max_regression)
-        if summary["rank_sum_standard"] > allowed:
-            failures.append(
-                f"rank regression: summed standard rank "
-                f"{summary['rank_sum_standard']} exceeds the committed "
-                f"{ref_sum} by more than {max_regression:.0%} "
-                f"(limit {allowed:.1f})")
-    ref_mrr = reference.get("mrr_standard")
-    if ref_mrr:
-        floor = ref_mrr * (1.0 - max_regression)
-        if summary["mrr_standard"] < floor:
-            failures.append(
-                f"MRR regression: standard-chain MRR "
-                f"{summary['mrr_standard']} fell below the committed "
-                f"{ref_mrr} by more than {max_regression:.0%} "
-                f"(floor {floor:.4f})")
-    committed_trace = committed.get("trace", {})
-    ref_trace_mrr = committed_trace.get("mrr_standard")
-    if ref_trace_mrr:
-        floor = ref_trace_mrr * (1.0 - max_regression)
-        if report["trace"]["mrr_standard"] < floor:
-            failures.append(
-                f"trace-replay regression: standard-chain MRR "
-                f"{report['trace']['mrr_standard']} fell below the "
-                f"committed {ref_trace_mrr} by more than "
-                f"{max_regression:.0%} (floor {floor:.4f})")
-    return failures
+        return [f"structural: the standard chain worsens the summed expected "
+                f"rank over the corpus scenes ({summary['rank_sum_standard']} "
+                f"vs base {summary['rank_sum_base']})"]
+    return []
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -301,22 +285,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--output", default=None,
                         help="write the measured report to this path")
     parser.add_argument("--check", default=None, metavar="BENCH_rank.json",
+                        type=gate.report_loader(SCHEMA),
                         help="compare against a committed report and fail "
                              "on rank-quality regression")
-    parser.add_argument("--max-regression", type=float, default=0.25,
-                        help="allowed fractional rank/MRR regression for "
-                             "--check (default 0.25)")
     args = parser.parse_args(argv)
 
     rows = None
     if args.rows:
         rows = tuple(int(part) for part in args.rows.split(",")
                      if part.strip())
-
-    committed = None
-    if args.check:
-        with open(args.check, "r", encoding="utf-8") as handle:
-            committed = json.load(handle)
 
     scene_rows = measure_scenes(rows, n=args.n)
     trace = measure_trace(args.trace_profile, n=args.n)
@@ -337,22 +314,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"complete steps): rank sum base={session['rank_sum_base']} "
           f"standard={session['rank_sum_standard']}")
 
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.output}")
-
-    if committed is not None:
-        failures = check_regression(committed, report, args.max_regression)
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"rank-quality check passed (within {args.max_regression:.0%} "
-              f"of the committed report; standard chain still improves on "
-              f"base)")
-    return 0
+    return gate.conclude(report, check_chain(report), GATES, args.check,
+                         args.output)
 
 
 if __name__ == "__main__":

@@ -92,6 +92,14 @@ def _context_from_args(args: argparse.Namespace):
     return CompletionContext.from_payload(payload)
 
 
+def _committed_serve_report(path: str) -> dict:
+    """``loadgen --check``'s argparse type; the gate loads only when used."""
+    from repro.bench.gate import report_loader
+    from repro.loadgen.slo import SCHEMA
+
+    return report_loader(SCHEMA)(path)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -321,12 +329,9 @@ def _build_parser() -> argparse.ArgumentParser:
                               "to this path")
     loadgen.add_argument("--check", default=None,
                          metavar="BENCH_serve.json",
+                         type=_committed_serve_report,
                          help="compare against a committed report and fail "
-                              "on p95 regression, SLO violation, or lost "
-                              "chaos coverage")
-    loadgen.add_argument("--max-regression", type=float, default=0.25,
-                         help="allowed fractional summed-p95 regression "
-                              "for --check (default 0.25)")
+                              "on p95 regression or lost chaos coverage")
 
     stats = commands.add_parser(
         "stats", help="fetch and pretty-print a running server's /v1/stats")
@@ -931,15 +936,14 @@ def _cmd_route(args: argparse.Namespace) -> int:
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
     import dataclasses
-    import json
     import subprocess
     import tempfile
     from pathlib import Path
 
+    from repro.bench.gate import conclude
     from repro.loadgen.chaos import ChaosPlan
     from repro.loadgen.driver import DriverConfig, replay_trace
-    from repro.loadgen.slo import (build_report, check_regression,
-                                   load_report)
+    from repro.loadgen.slo import GATES, build_report, report_findings
     from repro.loadgen.traces import (PROFILES, generate_trace, load_trace,
                                       trace_digest, write_trace)
     from repro.server.router import spawn_cli_server
@@ -1047,13 +1051,11 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
               f"p99 {phase['p99_ms']} ms  "
               f"errors {phase['errors']} ({phase['error_rate']:.2%})  "
               f"hit rate {phase['cache_hit_rate']}")
-    failed = [verdict for verdict in report["slo"] if not verdict["ok"]]
     for verdict in report["slo"]:
         marker = "PASS" if verdict["ok"] else "FAIL"
         detail = ("" if verdict["ok"]
                   else " — " + "; ".join(verdict["failures"]))
         print(f"  SLO {verdict['slo']['name']}: {marker}{detail}")
-    exit_code = 0
     if chaos_doc is not None:
         if chaos_doc.get("mode") == "slow":
             hedges = chaos_doc.get("observed_hedges") or {}
@@ -1073,39 +1075,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                   f"{chaos_doc.get('degraded_served')} degraded, "
                   f"reregistration storm bounded: "
                   f"{chaos_doc['reregistration_storm_bounded']}")
-        if not chaos_doc.get("recovered"):
-            fault = ("stall was never resumed"
-                     if chaos_doc.get("mode") == "slow"
-                     else "kill was never recovered (no respawn observed)")
-            print(f"FAIL: chaos {fault}", file=sys.stderr)
-            exit_code = 1
-        if chaos_doc.get("reregistration_storm_bounded") is False:
-            print("FAIL: re-registration storm exceeded the journaled "
-                  "scene population per kill", file=sys.stderr)
-            exit_code = 1
-    if failed:
-        print(f"FAIL: {len(failed)} SLO(s) violated", file=sys.stderr)
-        exit_code = 1
-
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.output}")
-
-    if args.check:
-        committed = load_report(args.check)
-        findings = check_regression(committed, report,
-                                    args.max_regression)
-        for finding in findings:
-            print(f"FAIL: {finding}", file=sys.stderr)
-        if findings:
-            exit_code = 1
-        else:
-            print(f"regression check passed (within "
-                  f"{args.max_regression:.0%} of the committed summed "
-                  f"p95)")
-    return exit_code
+    return conclude(report, report_findings(report), GATES, args.check,
+                    args.output)
 
 
 def _cmd_warm(args: argparse.Namespace) -> int:

@@ -7,16 +7,17 @@ arrivals, tenant churn), :mod:`repro.loadgen.driver` replays a trace
 against a live ``repro serve`` / ``repro route`` topology through the
 async client, :mod:`repro.loadgen.chaos` SIGKILLs backends mid-burst,
 and :mod:`repro.loadgen.slo` turns the measured phases into a
-``BENCH_serve.json`` report with declared SLOs and a ``--check``
-regression gate — the exact shape ``BENCH_core.json`` gives the engine
-side.  ``repro loadgen`` (see :mod:`repro.cli`) drives the identical
-code path from the CLI, the benchmarks, and CI.
+``BENCH_serve.json`` report with declared SLOs and the ``GATES`` that
+``--check`` compares through :mod:`repro.bench.gate`, the regression
+gate ``BENCH_core.json`` also uses on the engine side.  ``repro
+loadgen`` (see :mod:`repro.cli`) drives the identical code path from
+the CLI, the benchmarks, and CI.
 """
 
 from repro.loadgen.arrivals import ZipfSampler, bursty_arrivals, poisson_arrivals
 from repro.loadgen.chaos import ChaosPlan
 from repro.loadgen.driver import DriverConfig, replay_trace
-from repro.loadgen.slo import SLO, SloAccountant, build_report, check_regression
+from repro.loadgen.slo import SLO, SloAccountant, build_report
 from repro.loadgen.traces import Trace, TraceSpec, generate_trace, load_trace, trace_digest
 
 __all__ = [
@@ -29,7 +30,6 @@ __all__ = [
     "SLO",
     "SloAccountant",
     "build_report",
-    "check_regression",
     "Trace",
     "TraceSpec",
     "generate_trace",

@@ -9,18 +9,19 @@ merged computation equals a brute-force recompute over the
 concatenation.
 
 :func:`build_report` turns an accountant plus trace/topology metadata
-into the ``BENCH_serve.json`` document; :func:`check_regression` is the
-``--check`` gate CI runs against the committed copy, mirroring
-``repro.bench.core_bench`` (non-blocking job, >25% p95 regression
-fails).
+into the ``BENCH_serve.json`` document; :func:`report_findings` is what
+one report shows failed by itself, and ``GATES`` is what ``--check``
+compares against the committed copy through :mod:`repro.bench.gate`,
+like ``repro.bench.core_bench`` (non-blocking CI job, >25% p95
+regression fails).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from repro.bench import gate
 from repro.core.errors import ReproError
 from repro.server import metrics
 
@@ -308,58 +309,35 @@ def build_report(accountant: SloAccountant, *, trace_doc: dict,
     return report
 
 
-def check_regression(committed: dict, measured: dict,
-                     max_regression: float = 0.25) -> List[str]:
-    """Findings of *measured* against the *committed* report.
-
-    The gate is the summed per-phase p95 over phases both reports
-    carry — summing damps single-phase scheduling noise exactly the way
-    ``core_bench`` sums rows — plus a hard failure when the measured run
-    violated its own SLOs or killed fewer backends than the committed
-    run (a chaos run that stopped killing is not comparable).
-    """
-    failures: List[str] = []
-    committed_phases = committed.get("phases", {})
-    measured_phases = measured.get("phases", {})
-    common = [name for name in committed_phases
-              if name in measured_phases
-              and committed_phases[name].get("p95_ms") is not None
-              and measured_phases[name].get("p95_ms") is not None]
-    if not common:
-        return [f"no comparable phases between committed "
-                f"({sorted(committed_phases)}) and measured "
-                f"({sorted(measured_phases)}) reports"]
-    committed_sum = sum(committed_phases[name]["p95_ms"]
-                        for name in common)
-    measured_sum = sum(measured_phases[name]["p95_ms"] for name in common)
-    allowed = committed_sum * (1.0 + max_regression)
-    if measured_sum > allowed:
-        failures.append(
-            f"p95 regression: {measured_sum:.1f} ms summed over phases "
-            f"{common} exceeds the committed {committed_sum:.1f} ms by "
-            f"more than {max_regression:.0%} (limit {allowed:.1f} ms)")
-    if not measured.get("slo_ok", False):
-        broken = [verdict["slo"]["name"]
-                  for verdict in measured.get("slo", [])
+def report_findings(report: dict) -> List[str]:
+    """What *report* shows failed by itself: a violated SLO, a chaos
+    fault never recovered from, or a re-registration storm."""
+    findings: List[str] = []
+    if not report.get("slo_ok", False):
+        broken = [verdict["slo"]["name"] for verdict in report.get("slo", [])
                   if not verdict.get("ok")]
-        failures.append(f"measured run violated its declared SLOs: "
+        findings.append(f"measured run violated its declared SLOs: "
                         f"{broken}")
-    committed_kills = (committed.get("chaos") or {}).get("kills", 0)
-    measured_kills = (measured.get("chaos") or {}).get("kills", 0)
-    if committed_kills and measured_kills < committed_kills:
-        failures.append(
-            f"chaos coverage shrank: committed report kills "
-            f"{committed_kills} backend(s), measured run killed "
-            f"{measured_kills}")
-    return failures
+    chaos = report.get("chaos")
+    if chaos is not None:
+        if not chaos.get("recovered"):
+            fault = ("stall was never resumed" if chaos.get("mode") == "slow"
+                     else "kill was never recovered (no respawn observed)")
+            findings.append(f"chaos {fault}")
+        if chaos.get("reregistration_storm_bounded") is False:
+            findings.append("re-registration storm exceeded the journaled "
+                            "scene population per kill")
+    return findings
 
 
-def load_report(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SloError(f"cannot load report {path}: {exc}")
-    if not isinstance(report, dict) or report.get("schema") != SCHEMA:
-        raise SloError(f"{path} is not a {SCHEMA} report")
-    return report
+def _chaos_kills(report: dict) -> dict:
+    return {"chaos": (report.get("chaos") or {}).get("kills", 0)}
+
+
+#: Summing the per-phase p95 damps single-phase scheduling noise the way
+#: ``core_bench`` sums rows.  A chaos run that killed fewer backends than
+#: the committed one is not comparable, so kills may not shrink at all.
+GATES = (
+    gate.Gate("p95_ms", gate.per_row("phases", field="p95_ms"), 0.25),
+    gate.Gate("chaos.kills", _chaos_kills, 0.0, better="higher"),
+)

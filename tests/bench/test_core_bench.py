@@ -1,10 +1,11 @@
-"""Unit tests for the BENCH_core emitter/regression gate (no timing)."""
+"""Unit tests for the BENCH_core emitter and its gates (no timing)."""
 
 import json
 from pathlib import Path
 
-from repro.bench.core_bench import (DEFAULT_ROWS, LARGEST_ROW, SCHEMA,
-                                    build_report, check_regression)
+from repro.bench.core_bench import (DEFAULT_ROWS, GATES, LARGEST_ROW, SCHEMA,
+                                    build_report)
+from repro.bench.gate import check
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -17,41 +18,40 @@ def _rows(prove: float, recon: float = 2.0) -> dict:
     }
 
 
+def _check(committed_rows: dict, measured_rows: dict) -> list:
+    return check(GATES, build_report(committed_rows),
+                 build_report(measured_rows))
+
+
 class TestRegressionGate:
     def test_within_bound_passes(self):
-        committed = build_report(_rows(100.0))
-        assert check_regression(committed, _rows(120.0), 0.25) == []
+        assert _check(_rows(100.0), _rows(120.0)) == []
 
     def test_over_bound_fails(self):
-        committed = build_report(_rows(100.0))
-        failures = check_regression(committed, _rows(130.0), 0.25)
-        assert failures and "prove-time regression" in failures[0]
+        failures = _check(_rows(100.0), _rows(130.0))
+        assert failures and failures[0].startswith("prove_ms: 130")
 
     def test_recon_regression_fails_even_with_prove_improvement(self):
-        committed = build_report(_rows(100.0, recon=100.0))
-        failures = check_regression(committed,
-                                    _rows(50.0, recon=130.0), 0.25)
+        failures = _check(_rows(100.0, recon=100.0),
+                          _rows(50.0, recon=130.0))
         assert len(failures) == 1
-        assert "recon-time regression" in failures[0]
+        assert failures[0].startswith("recon_ms: 130")
 
     def test_both_phases_can_fail_together(self):
-        committed = build_report(_rows(100.0, recon=100.0))
-        failures = check_regression(committed,
-                                    _rows(130.0, recon=130.0), 0.25)
+        failures = _check(_rows(100.0, recon=100.0),
+                          _rows(130.0, recon=130.0))
         assert len(failures) == 2
-        assert "prove-time regression" in failures[0]
-        assert "recon-time regression" in failures[1]
+        assert failures[0].startswith("prove_ms:")
+        assert failures[1].startswith("recon_ms:")
 
     def test_recon_within_bound_passes(self):
-        committed = build_report(_rows(100.0, recon=100.0))
-        assert check_regression(committed,
-                                _rows(90.0, recon=120.0), 0.25) == []
+        assert _check(_rows(100.0, recon=100.0),
+                      _rows(90.0, recon=120.0)) == []
 
     def test_disjoint_row_sets_are_reported(self):
-        committed = build_report(_rows(100.0))
-        failures = check_regression(
-            committed, {"9": _rows(1.0)["28"]}, 0.25)
-        assert failures and "no comparable rows" in failures[0]
+        failures = _check(_rows(100.0), {"9": _rows(1.0)["28"]})
+        assert len(failures) == 2
+        assert all("no rows in common" in failure for failure in failures)
 
 
 class TestReportShape:
@@ -84,8 +84,6 @@ class TestReportShape:
         # The end-to-end trajectory must not have regressed either.
         largest = str(committed["protocol"]["largest_scene"])
         assert committed["speedup_total"][largest] >= 1.0
-        # The gate must accept its own committed numbers.
-        assert check_regression(committed, committed["current"], 0.25) == []
 
 
 class TestMedianTotalTriple:

@@ -1,14 +1,16 @@
-"""Unit tests for the BENCH_rank emitter/regression gate.
+"""Unit tests for the BENCH_rank emitter and its gates.
 
 Rank quality is deterministic (ranks, not timings), so unlike the
 timing benches a small real measurement runs in-process here and the
 committed ``BENCH_rank.json`` can be checked for structural honesty.
 """
 
+import copy
 import json
 from pathlib import Path
 
-from repro.bench.rank_bench import (SCHEMA, build_report, check_regression,
+from repro.bench.gate import check
+from repro.bench.rank_bench import (GATES, SCHEMA, build_report, check_chain,
                                     measure_scenes, summarize_scenes)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -42,35 +44,65 @@ def _report(rank_standard: int, rank_base: int = 3,
 
 class TestRegressionGate:
     def test_within_bound_passes(self):
-        committed = _report(2)
-        assert check_regression(committed, _report(2), 0.25) == []
+        assert check(GATES, _report(2), _report(2)) == []
 
     def test_structural_gate_rejects_a_worsening_chain(self):
-        failures = check_regression(_report(2), _report(5, rank_base=3),
-                                    0.25)
+        failures = check_chain(_report(5, rank_base=3))
         assert any("structural" in failure for failure in failures)
+        assert check_chain(_report(3, rank_base=3)) == []
 
     def test_rank_sum_regression_fails(self):
-        committed = _report(2)
         # 3 > 2 * 1.25: over the bound, but still <= base (structural ok).
-        failures = check_regression(committed, _report(3), 0.25)
-        assert any("rank regression" in failure for failure in failures)
+        failures = check(GATES, _report(2), _report(3))
+        assert any(failure.startswith("rank_standard:")
+                   for failure in failures)
 
     def test_mrr_floor_fails(self):
         committed = _report(1)          # MRR 1.0 committed
         measured = _report(2)           # MRR 0.5 < 0.75 floor
-        failures = check_regression(committed, measured, 0.25)
-        assert any("MRR regression" in failure for failure in failures)
+        failures = check(GATES, committed, measured)
+        assert any(failure.startswith("reciprocal_rank:")
+                   for failure in failures)
 
     def test_trace_mrr_floor_fails_independently(self):
         committed = _report(2, trace_mrr=1.0)
         measured = _report(2, trace_mrr=0.5)
-        failures = check_regression(committed, measured, 0.25)
-        assert failures == [failure for failure in failures
-                            if "trace-replay" in failure]
+        failures = check(GATES, committed, measured)
+        assert len(failures) == 1
+        assert failures[0].startswith("trace.mrr_standard:")
 
     def test_empty_committed_report_only_gates_structure(self):
-        assert check_regression({}, _report(2), 0.25) == []
+        """A committed report without the gated metrics compares nothing,
+        so every gate reports it instead of passing."""
+        failures = check(GATES, {}, _report(2))
+        assert len(failures) == len(GATES)
+        assert all("no rows in common" in failure for failure in failures)
+
+    def test_one_row_run_equal_to_its_committed_row_passes(self):
+        """``--rows 13`` is compared on row 13 alone, not against the
+        whole-corpus MRR."""
+        committed = _committed()
+        assert check(GATES, committed, _one_row_report(committed, "13")) \
+            == []
+
+    def test_one_row_run_worse_than_its_committed_row_fails(self):
+        committed = _committed()
+        measured = _one_row_report(committed, "13")
+        committed["scenes"]["13"]["rank_standard"] = 1
+        failures = check(GATES, committed, measured)
+        assert [failure.split(":")[0] for failure in failures] \
+            == ["rank_standard", "reciprocal_rank"]
+
+
+def _committed() -> dict:
+    return json.loads((REPO_ROOT / "BENCH_rank.json").read_text())
+
+
+def _one_row_report(committed: dict, row: str) -> dict:
+    """The report of a ``--rows <row>`` run that measured what the
+    committed report holds for that row."""
+    return build_report({row: copy.deepcopy(committed["scenes"][row])},
+                        committed["trace"], committed["session"])
 
 
 class TestReportShape:
@@ -113,4 +145,4 @@ class TestCommittedReport:
         # And at least one weigher demonstrably improves the rank sum —
         # the acceptance claim of the ranking PR, pinned to the artifact.
         assert summary["rank_sum_standard"] < summary["rank_sum_base"]
-        assert check_regression(committed, committed, 0.25) == []
+        assert check_chain(committed) == []

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from repro.loadgen.slo import (SCHEMA, SLO, PhaseAccount, SloAccountant,
-                               SloError, build_report, check_regression,
-                               evaluate_slos, percentile)
+from repro.bench.gate import check
+from repro.loadgen.slo import (GATES, SCHEMA, SLO, PhaseAccount,
+                               SloAccountant, SloError, build_report,
+                               evaluate_slos, percentile, report_findings)
 
 
 def brute_force_percentile(samples, fraction):
@@ -156,42 +157,59 @@ class TestCheckRegression:
     def test_within_budget_passes(self):
         committed = _report({"steady": 100.0, "burst": 200.0})
         measured = _report({"steady": 110.0, "burst": 220.0})
-        assert check_regression(committed, measured, 0.25) == []
+        assert check(GATES, committed, measured) == []
 
     def test_summed_p95_regression_fails(self):
         committed = _report({"steady": 100.0, "burst": 200.0})
         measured = _report({"steady": 100.0, "burst": 300.0})
-        failures = check_regression(committed, measured, 0.25)
-        assert failures and "p95 regression" in failures[0]
+        failures = check(GATES, committed, measured)
+        assert failures and failures[0].startswith("p95_ms: 400")
 
     def test_summing_damps_single_phase_noise(self):
         """One phase 50% slower but the other faster: the sum stays
         inside the budget, so the gate does not fire on noise."""
         committed = _report({"steady": 100.0, "burst": 200.0})
         measured = _report({"steady": 150.0, "burst": 180.0})
-        assert check_regression(committed, measured, 0.25) == []
+        assert check(GATES, committed, measured) == []
 
     def test_no_common_phases_is_a_finding(self):
-        failures = check_regression(_report({"steady": 1.0}),
-                                    _report({"other": 1.0}))
-        assert failures and "no comparable phases" in failures[0]
+        failures = check(GATES, _report({"steady": 1.0}),
+                         _report({"other": 1.0}))
+        assert failures == [failures[0]]
+        assert failures[0].startswith("p95_ms: no rows in common")
 
     def test_measured_slo_violation_is_a_finding(self):
-        committed = _report({"steady": 100.0})
         measured = _report({"steady": 100.0}, slo_ok=False)
-        failures = check_regression(committed, measured)
+        assert report_findings(_report({"steady": 100.0})) == []
+        failures = report_findings(measured)
         assert any("violated its declared SLOs" in f for f in failures)
+
+    def test_unrecovered_chaos_and_a_storm_are_findings(self):
+        report = _report({"steady": 100.0}, kills=1)
+        report["chaos"].update(recovered=True,
+                               reregistration_storm_bounded=True)
+        assert report_findings(report) == []
+        report["chaos"].update(recovered=False,
+                               reregistration_storm_bounded=False)
+        assert report_findings(report) == [
+            "chaos kill was never recovered (no respawn observed)",
+            "re-registration storm exceeded the journaled scene "
+            "population per kill"]
+        report["chaos"]["mode"] = "slow"
+        assert report_findings(report)[0] == "chaos stall was never resumed"
 
     def test_shrunk_chaos_coverage_is_a_finding(self):
         committed = _report({"steady": 100.0}, kills=2)
         measured = _report({"steady": 100.0}, kills=1)
-        failures = check_regression(committed, measured)
-        assert any("chaos coverage shrank" in f for f in failures)
+        failures = check(GATES, committed, measured)
+        assert [f.split(":")[0] for f in failures] == ["chaos.kills"]
+        chaosless = check(GATES, committed, _report({"steady": 100.0}))
+        assert [f.split(":")[0] for f in chaosless] == ["chaos.kills"]
 
     def test_chaosless_committed_report_tolerates_chaosless_run(self):
         committed = _report({"steady": 100.0})
         measured = _report({"steady": 100.0})
-        assert check_regression(committed, measured) == []
+        assert check(GATES, committed, measured) == []
 
 
 class TestBuildReport:

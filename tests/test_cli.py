@@ -462,6 +462,8 @@ class TestArgumentErrors:
         pytest.param(["serve", "--gc-tune"], id="serve-gc-tune"),
         pytest.param(["route", "--workers", "2"], id="route-workers"),
         pytest.param(["batch", "--workers", "2"], id="batch-workers"),
+        pytest.param(["loadgen", "--max-regression", "0.3"],
+                     id="loadgen-max-regression"),
     ])
     def test_removed_flag_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exited:
