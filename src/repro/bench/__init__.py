@@ -9,22 +9,3 @@
   algorithm variants plus the baseline provers;
 * :mod:`repro.bench.reporting` — Table 2-style text reports.
 """
-
-from repro.bench.goldens import PAPER_ROWS, PaperRow
-from repro.bench.matching import find_rank, masked_code
-from repro.bench.reporting import format_table, summarize
-from repro.bench.runner import (BenchmarkResult, ProverComparison,
-                                VariantOutcome, run_benchmark, run_provers,
-                                run_suite)
-from repro.bench.suite import (BENCHMARKS, BenchmarkSpec, benchmark_by_name,
-                               benchmark_by_number, build_scene)
-
-__all__ = [
-    "PAPER_ROWS", "PaperRow",
-    "find_rank", "masked_code",
-    "format_table", "summarize",
-    "BenchmarkResult", "ProverComparison", "VariantOutcome",
-    "run_benchmark", "run_provers", "run_suite",
-    "BENCHMARKS", "BenchmarkSpec", "benchmark_by_name",
-    "benchmark_by_number", "build_scene",
-]

@@ -729,7 +729,7 @@ def _serve_until_stopped(serve_forever) -> "object":
     """Run an awaitable server loop until SIGTERM/SIGINT, then return.
 
     `asyncio.run` only turns SIGINT into KeyboardInterrupt; a plain
-    SIGTERM (systemd stop, `process.terminate()` in the smoke harness)
+    SIGTERM (systemd stop, `repro.server.router.stop_cli_server`)
     would kill the process before any `finally` runs — leaking supervised
     backend children and skipping the snapshot shutdown flush.  Where the
     platform supports it, both signals resolve to a clean return so the
@@ -936,17 +936,16 @@ def _cmd_route(args: argparse.Namespace) -> int:
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
     import dataclasses
-    import subprocess
     import tempfile
     from pathlib import Path
 
     from repro.bench.gate import conclude
-    from repro.loadgen.chaos import ChaosPlan
+    from repro.loadgen.chaos import ChaosPlan, format_report
     from repro.loadgen.driver import DriverConfig, replay_trace
     from repro.loadgen.slo import GATES, build_report, report_findings
     from repro.loadgen.traces import (PROFILES, generate_trace, load_trace,
                                       trace_digest, write_trace)
-    from repro.server.router import spawn_cli_server
+    from repro.server.router import spawn_cli_server, stop_cli_server
 
     if args.kills < 1:
         print(f"error: --kills must be at least 1, got {args.kills}",
@@ -1025,16 +1024,12 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                           time_scale=args.time_scale, chaos=chaos_plan,
                           deadline_ms=args.deadline_ms)
 
+    stalled = None
     try:
         result = asyncio.run(replay_trace(trace, config))
     finally:
         if process is not None:
-            process.terminate()
-            try:
-                process.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait()
+            stalled = stop_cli_server(process, host, port)
 
     chaos_doc = result.chaos.to_doc() if result.chaos is not None else None
     report = build_report(result.accountant, trace_doc=trace.to_doc(),
@@ -1057,26 +1052,11 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                   else " — " + "; ".join(verdict["failures"]))
         print(f"  SLO {verdict['slo']['name']}: {marker}{detail}")
     if chaos_doc is not None:
-        if chaos_doc.get("mode") == "slow":
-            hedges = chaos_doc.get("observed_hedges") or {}
-            print(f"  chaos(slow): {chaos_doc['stalls']} stall(s), "
-                  f"resumed: {chaos_doc.get('resumed')}, "
-                  f"hedges {hedges.get('fired')} "
-                  f"(won {hedges.get('won')}), "
-                  f"deadline_exceeded "
-                  f"{chaos_doc.get('observed_deadline_exceeded')}, "
-                  f"slow timeouts "
-                  f"{chaos_doc.get('observed_slow_timeouts')}, "
-                  f"ejections {chaos_doc.get('observed_ejections')}")
-        else:
-            print(f"  chaos: {chaos_doc['kills']} kill(s), "
-                  f"{chaos_doc['observed_restarts']} respawn(s), "
-                  f"{chaos_doc.get('observed_failovers')} failover(s), "
-                  f"{chaos_doc.get('degraded_served')} degraded, "
-                  f"reregistration storm bounded: "
-                  f"{chaos_doc['reregistration_storm_bounded']}")
-    return conclude(report, report_findings(report), GATES, args.check,
-                    args.output)
+        print(f"  {format_report(chaos_doc)}")
+    findings = report_findings(report)
+    if stalled:
+        findings.append(f"router shutdown: {stalled}")
+    return conclude(report, findings, GATES, args.check, args.output)
 
 
 def _cmd_warm(args: argparse.Namespace) -> int:

@@ -308,22 +308,20 @@ class Environment:
 
         arena = self._arena
         if arena is None or arena.oversized():
-            if arena is not None:
-                arena.retire()
             arena = EnvArena(self.succinct_environment())
             self._arena = arena
         return arena
 
     def release_arena(self) -> None:
-        """Drop the cached arena (engine scene release calls this).
+        """Drop this environment's reference to its arena (engine scene
+        release calls this).
 
-        In-flight explorations keep their reference and finish on the old
-        arena; the memory goes when the last of them does.
+        The arena, its stored proofs included, lives on while anything
+        else holds it: an in-flight exploration, or an edited scene that
+        adopted it (:meth:`adopt_prepared_state`).  It goes with the last
+        holder.
         """
-        arena = self._arena
-        if arena is not None:
-            arena.retire()
-            self._arena = None
+        self._arena = None
 
     def adopt_prepared_state(self, donor: "Environment",
                              dirty_stypes: Iterable[SuccinctType]) -> None:

@@ -73,22 +73,20 @@ COUNTERS = ("transition_hits", "transition_misses", "index_merges",
 
 
 class ArenaCounts:
-    """One arena's counters, and whether it was retired.
+    """One arena's counters.
 
     Held by the arena and by :data:`_ARENAS`, so they outlive the arena:
-    one that is collected without :meth:`EnvArena.retire` (the engine's
-    scene LRU evicts without a release) has its counts folded into
-    :data:`_RETIRED` by the next :func:`_sweep`.  Nothing runs when an
-    arena dies, so nothing can block on :data:`_RETIRED_LOCK` there.
+    a collected arena has its counts folded into :data:`_RETIRED` by the
+    next :func:`_sweep`.  Nothing runs when an arena dies, so nothing can
+    block on :data:`_RETIRED_LOCK` there.
     """
 
-    __slots__ = COUNTERS + ("envs", "retired")
+    __slots__ = COUNTERS + ("envs",)
 
     def __init__(self) -> None:
         for name in COUNTERS:
             setattr(self, name, 0)
         self.envs = 0
-        self.retired = False
 
 
 #: serial -> (weak reference to an arena, its counts), for aggregate
@@ -96,9 +94,8 @@ class ArenaCounts:
 _ARENAS: dict[int, tuple] = {}
 _SERIALS = itertools.count()
 
-#: Lifetime totals over arenas retired or collected (so `/v1/stats`
-#: totals do not shrink when a tenant is dropped): the counters of
-#: collected arenas, and the arena and env counts of both.
+#: Lifetime totals over collected arenas (so `/v1/stats` totals do not
+#: shrink when a tenant is dropped): their counters, arenas and envs.
 _RETIRED = dict.fromkeys(("arenas", "envs") + COUNTERS, 0)
 _RETIRED_LOCK = threading.Lock()
 
@@ -113,9 +110,8 @@ def _sweep() -> list:
             live.append(arena)
             continue
         del _ARENAS[serial]
-        if not counts.retired:
-            _RETIRED["arenas"] += 1
-            _RETIRED["envs"] += counts.envs
+        _RETIRED["arenas"] += 1
+        _RETIRED["envs"] += counts.envs
         for name in COUNTERS:
             _RETIRED[name] += getattr(counts, name)
     return live
@@ -262,12 +258,8 @@ class EnvArena:
         """File *proof* under *key*; drop the proofs under *key* whose root
         request its graph has (it answers all they did) and, past the
         bound, the oldest.
-
-        A retired arena stores nothing: its release freed its proofs.
         """
         with self._lock:
-            if self.counts.retired:
-                return
             kept = tuple(stored for stored in self._proofs.get(key, ())
                          if proof.node(*stored.root_request) is None)
             self._proofs[key] = kept + (proof,)
@@ -306,24 +298,6 @@ class EnvArena:
             **{name: getattr(self.counts, name) for name in COUNTERS},
             "proofs": self.proof_count(),
         }
-
-    def retire(self) -> None:
-        """Count this arena as retired and free its stored proofs.
-
-        Called when the holder releases the arena (engine scene release);
-        the object itself stays usable for any in-flight exploration and
-        is garbage-collected when the last reference drops, which is when
-        :func:`arena_stats` folds its counters into the lifetime totals.
-        """
-        with _RETIRED_LOCK:
-            if self.counts.retired:
-                return
-            self.counts.retired = True
-            _RETIRED["arenas"] += 1
-            _RETIRED["envs"] += len(self._members)
-        with self._lock:
-            self._proofs.clear()
-            self._proof_order.clear()
 
     def __repr__(self) -> str:
         return (f"EnvArena({len(self._members)} envs, "
@@ -417,12 +391,14 @@ def trim_simple_type_ids(max_entries: int = 0) -> int:
 
 
 def arena_stats() -> dict:
-    """Aggregate arena statistics: live arenas plus retired totals.
+    """Aggregate arena statistics: live arenas plus collected totals.
 
     The ``transition_memo_hits``-style counters and the proof counters
     are process-lifetime (every arena, collected ones included), so
     serving dashboards see monotone rates; the ``env_count`` and
-    ``proofs`` gauges cover live, unretired arenas only.
+    ``proofs`` gauges cover live arenas only.  An arena lives while any
+    scene holds it: an edited scene keeps its donor's arena after the
+    donor's release.
     """
     with _RETIRED_LOCK:
         live = _sweep()
@@ -430,14 +406,13 @@ def arena_stats() -> dict:
     totals = {name: retired[name] + sum(getattr(arena.counts, name)
                                         for arena in live)
               for name in COUNTERS}
-    serving = [arena for arena in live if not arena.counts.retired]
     return {
-        "live_arenas": len(serving),
-        "env_count": sum(len(arena) for arena in serving),
+        "live_arenas": len(live),
+        "env_count": sum(len(arena) for arena in live),
         "transition_memo_hits": totals["transition_hits"],
         "transition_memo_misses": totals["transition_misses"],
         "index_merges": totals["index_merges"],
-        "proofs": sum(arena.proof_count() for arena in serving),
+        "proofs": sum(arena.proof_count() for arena in live),
         "proof_hits": totals["proof_hits"],
         "proof_stores": totals["proof_stores"],
         "retired_arenas": retired["arenas"],

@@ -1,26 +1,35 @@
-"""Chaos injection: strike a live backend mid-burst, then prove recovery.
+"""Chaos injection: the one fault layer of the serving stack.
 
-The controller is deliberately dumb — it learns the topology the same
-way any operator would (``GET /healthz``, which lists every backend with
-its pid when the router supervises the process) and sends signals.  Two
+Every fault a test or benchmark delivers goes through
+:class:`ChaosController`: ``repro loadgen --chaos`` strikes mid-replay
+(:mod:`repro.loadgen.driver`), and ``python -m repro.server.smoke
+--router --chaos`` strikes mid-burst.  The controller learns the
+topology the way any operator would (``GET /healthz``, which lists
+every backend with its pid when the router supervises the process, and
+``GET /v1/admin/backends`` for the ring) and sends signals.  Three
 fault modes:
 
 * ``kill`` — ``SIGKILL``, the one signal a process cannot trap.  The
   router must notice the dead shard, respawn it once (not once per
   queued request), replay the journal, restore the snapshot, and keep
   answering.
-* ``slow`` — ``SIGSTOP`` for ``stall_s`` seconds, then ``SIGCONT``.
-  The gray failure: the process stays alive, its sockets keep
-  accepting, in-flight requests (streams included) simply *stall* —
-  breakers see no connection failure, so only deadline clamps, hedged
-  retries and latency-outlier ejection can save the traffic.  Recovery
-  means the stalled backend rejoins candidate ordering, with zero
-  restarts expected.
+* ``slow`` — ``SIGSTOP``, then ``SIGCONT`` once the stall's hold has
+  passed; the controller schedules the resume itself.  The gray
+  failure: the process stays alive, its sockets keep accepting,
+  in-flight requests (streams included) simply *stall* — breakers see
+  no connection failure, so only deadline clamps, hedged retries and
+  latency-outlier ejection can save the traffic.  Recovery means the
+  stalled backend rejoins candidate ordering, with zero restarts
+  expected.
+* ``majority`` — ``SIGKILL`` every ring owner of one scene
+  (:meth:`ChaosController.ring_owners`), so no replica holds it and
+  the router can only answer from its last-known-good cache.
 
-Everything interesting happens in the serving stack; the driver's
-recovery phase plus the SLO gates assert it all from the outside.
-:func:`await_recovery` is the one wait for that recovery, shared by the
-load driver and ``python -m repro.server.smoke``.
+Everything interesting happens in the serving stack; the drivers'
+recovery checks plus the SLO gates assert it all from the outside.
+:meth:`ChaosController.report` is the evidence both drivers write,
+:func:`format_report` its one-line summary, and :func:`await_recovery`
+the one wait for recovery.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ import asyncio
 import os
 import random
 import signal
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -36,6 +46,7 @@ from typing import List, Optional
 from repro.core.errors import ReproError
 from repro.server.client import (AsyncCompletionClient, ClientConnectionError,
                                  ServerError)
+from repro.server.router import HashRing
 
 
 class ChaosError(ReproError):
@@ -49,9 +60,10 @@ class ChaosPlan:
     The first strike lands ``AT_FRACTION`` of the way through the
     chaos-eligible phase's events, so the burst is genuinely mid-flight;
     ``kills`` > 1 strikes repeatedly, evenly spaced over the remaining
-    events.  ``mode`` picks the fault: ``kill`` (SIGKILL, a crash) or
+    events.  ``mode`` picks the fault: ``kill`` (SIGKILL, a crash),
     ``slow`` (SIGSTOP for ``stall_s`` seconds, the gray failure —
-    ``kills`` then counts stalls).
+    ``kills`` then counts stalls) or ``majority`` (SIGKILL every owner
+    of one scene).
     """
 
     #: Where in the chaos phase the first strike lands (0.5 = halfway).
@@ -59,7 +71,7 @@ class ChaosPlan:
 
     kills: int = 1
     seed: int = 2013
-    mode: str = "kill"                      # "kill" | "slow"
+    mode: str = "kill"                      # "kill" | "slow" | "majority"
     stall_s: float = 2.0                    # SIGSTOP hold (slow mode)
 
     def kill_indices(self, events_in_phase: int) -> List[int]:
@@ -107,13 +119,20 @@ class StallRecord:
 
 
 class ChaosController:
-    """Picks victims (deterministically, per plan seed) and strikes."""
+    """Picks victims (deterministically, per plan seed) and strikes.
 
-    def __init__(self, plan: ChaosPlan):
+    A stall holds for the plan's ``stall_s`` times *time_scale*, so a
+    replay at another ``--time-scale`` stalls a comparable slice of it.
+    """
+
+    def __init__(self, plan: ChaosPlan, time_scale: float = 1.0):
         self.plan = plan
+        self.hold_s = plan.stall_s * time_scale
         self.records: List[KillRecord] = []
         self.stall_records: List[StallRecord] = []
         self._rng = random.Random(plan.seed)
+        # A stall is resumed by its timer thread or by resume_all.
+        self._resume_lock = threading.Lock()
 
     @property
     def kills(self) -> int:
@@ -130,8 +149,41 @@ class ChaosController:
         return [backend for backend in backends
                 if backend.get("managed") and backend.get("pid")]
 
-    def strike(self, healthz: dict, *, phase: str, event_index: int):
-        """Deliver one fault of the plan's mode to a managed backend."""
+    @staticmethod
+    def ring_owners(healthz: dict, roster: dict,
+                    scene_id: str) -> List[dict]:
+        """The ``/healthz`` entries of *scene_id*'s owners, primary first.
+
+        The router's ring is deterministic over backend ids, so it is
+        rebuilt here from the backends *healthz* lists (a draining one is
+        off the ring) and the ring replicas and replication that
+        *roster* (``GET /v1/admin/backends``) reports.
+        """
+        backends = {backend["backend_id"]: backend
+                    for backend in healthz.get("backends") or []
+                    if not backend.get("draining")}
+        ring = HashRing(replicas=roster["ring"]["replicas"])
+        for backend_id in backends:
+            ring.add(backend_id)
+        return [backends[backend_id] for backend_id
+                in ring.route_n(scene_id, roster["replication"])]
+
+    def strike(self, healthz: dict, *, phase: str, event_index: int,
+               victims: Optional[List[dict]] = None):
+        """Deliver one fault of the plan's mode.
+
+        *victims* are the backends the fault may hit, by default every
+        managed one *healthz* lists; a driver aiming at one scene passes
+        its :meth:`ring_owners`.  ``kill`` and ``slow`` hit one of them,
+        drawn with the plan's seed; ``majority`` kills every one.
+        Returns the fault's record (``majority``: the list of them).
+        """
+        if victims is not None:
+            healthz = {"backends": victims}
+            if len(self.killable_backends(healthz)) < len(victims):
+                raise ChaosError(
+                    f"cannot strike {[v.get('backend_id') for v in victims]}"
+                    f": chaos needs router-supervised backends with pids")
         if self.plan.mode == "slow":
             return self.stall(healthz, phase=phase,
                               event_index=event_index)
@@ -141,7 +193,14 @@ class ChaosController:
                 "no managed backend with a pid to kill — chaos needs a "
                 "router-supervised topology (repro route), not attached "
                 "backends")
+        if self.plan.mode == "majority":
+            return [self._kill(victim, phase, event_index)
+                    for victim in victims]
         victim = victims[self._rng.randrange(len(victims))]
+        return self._kill(victim, phase, event_index)
+
+    def _kill(self, victim: dict, phase: str,
+              event_index: int) -> KillRecord:
         pid = int(victim["pid"])
         try:
             os.kill(pid, signal.SIGKILL)
@@ -162,10 +221,10 @@ class ChaosController:
         """SIGSTOP one managed backend (skipping ones already stalled).
 
         The victim keeps its sockets open and its pending work parked —
-        the canonical gray failure.  :meth:`resume_all` (or the driver's
-        scheduled SIGCONT) un-stalls it; a backend that died while
-        stopped is simply recorded as resumed (nothing left to
-        continue).
+        the canonical gray failure — until a timer SIGCONTs it after
+        :attr:`hold_s`, or :meth:`resume_all` does first; a backend
+        that died while stopped is simply recorded as resumed (nothing
+        left to continue).
         """
         stalled = {record.pid for record in self.stall_records
                    if not record.resumed}
@@ -189,22 +248,27 @@ class ChaosController:
                              event_index=event_index,
                              at_monotonic=time.monotonic())
         self.stall_records.append(record)
+        timer = threading.Timer(self.hold_s, self._resume, (record,))
+        timer.daemon = True
+        timer.start()
         return record
 
-    def resume_all(self) -> int:
-        """SIGCONT every outstanding stall; idempotent.  Returns how
-        many were resumed by this call."""
-        resumed = 0
-        for record in self.stall_records:
+    def _resume(self, record: StallRecord) -> bool:
+        """SIGCONT one stall unless it was resumed already."""
+        with self._resume_lock:
             if record.resumed:
-                continue
-            try:
-                os.kill(record.pid, signal.SIGCONT)
-            except (ProcessLookupError, OSError):
-                pass                        # gone; nothing to continue
+                return False
             record.resumed = True
-            resumed += 1
-        return resumed
+        try:
+            os.kill(record.pid, signal.SIGCONT)
+        except OSError:
+            pass                            # gone; nothing to continue
+        return True
+
+    def resume_all(self) -> int:
+        """SIGCONT every outstanding stall now; idempotent.  Returns how
+        many were resumed by this call."""
+        return sum(self._resume(record) for record in self.stall_records)
 
     def report(self, router_stats: Optional[dict],
                journal_scenes: int) -> dict:
@@ -273,6 +337,27 @@ class ChaosController:
         return section
 
 
+def format_report(doc: dict) -> str:
+    """One summary line of a :meth:`ChaosController.report` document."""
+    struck = ", ".join(f"{record['backend_id']} (pid {record['pid']})"
+                       for record in doc["records"] + doc["stall_records"])
+    if doc["mode"] == "slow":
+        hedges = doc["observed_hedges"] or {}
+        return (f"chaos(slow): {doc['stalls']} stall(s) [{struck}], "
+                f"resumed: {doc['resumed']}, "
+                f"hedges {hedges.get('fired')} (won {hedges.get('won')}), "
+                f"deadline_exceeded {doc['observed_deadline_exceeded']}, "
+                f"slow timeouts {doc['observed_slow_timeouts']}, "
+                f"ejections {doc['observed_ejections']}, "
+                f"respawns {doc['observed_restarts']}")
+    return (f"chaos({doc['mode']}): {doc['kills']} kill(s) [{struck}], "
+            f"{doc['observed_restarts']} respawn(s), "
+            f"{doc['observed_failovers']} failover(s), "
+            f"{doc['degraded_served']} degraded, "
+            f"reregistration storm bounded: "
+            f"{doc['reregistration_storm_bounded']}")
+
+
 @dataclass
 class ChaosOutcome:
     """What the driver hands the report builder."""
@@ -288,6 +373,12 @@ class ChaosOutcome:
                                      self.journal_scenes)
         doc.update(self.extra)
         return doc
+
+
+def restart_count(health: Optional[dict]) -> int:
+    """The backends' summed restart count in a ``/healthz`` document."""
+    return sum(backend.get("restarts", 0)
+               for backend in (health or {}).get("backends") or [])
 
 
 async def await_recovery(client: AsyncCompletionClient, *,
@@ -310,10 +401,9 @@ async def await_recovery(client: AsyncCompletionClient, *,
             health = await client.healthz()
         except (ClientConnectionError, ServerError):
             return False, health
-        backends = health.get("backends") or []
-        if (sum(backend.get("restarts", 0) for backend in backends)
-                >= min_restarts
-                and all(backend.get("healthy") for backend in backends)):
+        if (restart_count(health) >= min_restarts
+                and all(backend.get("healthy")
+                        for backend in health.get("backends") or [])):
             return True, health
         if time.monotonic() >= deadline:
             return False, health

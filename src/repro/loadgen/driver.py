@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.loadgen.chaos import (ChaosController, ChaosOutcome, ChaosPlan,
-                                 await_recovery)
+                                 await_recovery, restart_count)
 from repro.loadgen.slo import SloAccountant
 from repro.loadgen.traces import Trace, TraceEvent
 from repro.server.client import (AsyncCompletionClient, ClientConnectionError,
@@ -96,8 +96,7 @@ class ReplayResult:
             if backends is not None:
                 doc["router"] = True
                 doc["backends"] = len(backends)
-                doc["restarts"] = sum(backend.get("restarts", 0)
-                                      for backend in backends)
+                doc["restarts"] = restart_count(self.healthz)
         return doc
 
 
@@ -175,8 +174,7 @@ async def _execute(event: TraceEvent, trace: Trace,
 
 async def _strike(controller: ChaosController,
                   client: AsyncCompletionClient, phase: str,
-                  event_index: int, accountant: SloAccountant,
-                  config: DriverConfig) -> None:
+                  event_index: int, accountant: SloAccountant) -> None:
     try:
         healthz = await client.healthz()
         controller.strike(healthz, phase=phase, event_index=event_index)
@@ -184,15 +182,6 @@ async def _strike(controller: ChaosController,
         # The front door itself is unreachable — that is an error the
         # in-flight requests will surface; don't crash the dispatcher.
         accountant.record_error(phase, "chaos_strike_failed")
-        return
-    if controller.plan.mode == "slow":
-        # Schedule the SIGCONT: the stall window scales with the replay
-        # clock so it covers a comparable slice of the burst at any
-        # --time-scale.  resume_all is idempotent — the end-of-replay
-        # sweep catches anything the timer missed.
-        delay = max(0.0, controller.plan.stall_s * config.time_scale)
-        asyncio.get_running_loop().call_later(delay,
-                                              controller.resume_all)
 
 
 async def _run_open_phase(phase_name: str, events: List[TraceEvent],
@@ -216,7 +205,7 @@ async def _run_open_phase(phase_name: str, events: List[TraceEvent],
     for index, event in enumerate(events):
         if controller is not None and index in kills:
             await _strike(controller, client, phase_name, index,
-                          accountant, config)
+                          accountant)
         target = phase_start + (event.t_ms / 1000.0) * config.time_scale
         delay = target - loop.time()
         if delay > 0:
@@ -251,7 +240,8 @@ async def replay_trace(trace: Trace, config: DriverConfig) -> ReplayResult:
     """Replay every phase of *trace*, in order, against the topology."""
     accountant = SloAccountant()
     scene_ids: Dict[str, str] = {}
-    controller = (ChaosController(config.chaos)
+    controller = (ChaosController(config.chaos,
+                                  time_scale=config.time_scale)
                   if config.chaos is not None else None)
     started = time.perf_counter()
     async with AsyncCompletionClient(
@@ -273,7 +263,7 @@ async def replay_trace(trace: Trace, config: DriverConfig) -> ReplayResult:
                 if controller is not None and kill_indices:
                     # Closed-loop chaos phase: strike before the sweep.
                     await _strike(controller, client, phase.name, 0,
-                                  accountant, config)
+                                  accountant)
                 await _run_closed_phase(events, phase.workers, trace,
                                         client, config, accountant,
                                         scene_ids)
@@ -285,9 +275,9 @@ async def replay_trace(trace: Trace, config: DriverConfig) -> ReplayResult:
             # serves the traffic); give it a bounded window to land so
             # the closing stats reflect recovery, not a race.  A timeout
             # is not an error here — the chaos report's ``recovered``
-            # field carries the verdict.  Slow-mode stalls are resumed
-            # first (idempotent belt-and-braces over the scheduled
-            # SIGCONT) and recover by turning healthy, not restarting.
+            # field carries the verdict.  Slow-mode stalls still held are
+            # resumed first; they recover by turning healthy, not
+            # restarting.
             controller.resume_all()
             await await_recovery(client, min_restarts=controller.kills)
 

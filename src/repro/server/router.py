@@ -64,9 +64,11 @@ routing table ⇒ same shard contents).
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -642,8 +644,9 @@ def spawn_cli_server(command: str, args: Sequence[str] = (),
     this package's source root on ``PYTHONPATH``, so spawning works both
     from an installed package and a source checkout; after the listen
     line is seen, a daemon thread keeps draining (and forwarding) the
-    child's output.  Shared by the router's backend supervision and the
-    smoke harness — one spawn protocol, zero drift.
+    child's output.  Shared by the router's backend supervision, the
+    smoke harness and ``repro loadgen`` — one spawn protocol, zero
+    drift; :func:`stop_cli_server` stops what it starts.
     """
     import threading
 
@@ -671,6 +674,40 @@ def spawn_cli_server(command: str, args: Sequence[str] = (),
                 args=(process.stdout, label or f"{command}:{port}"),
                 daemon=True).start()
             return process, host, int(port)
+
+
+def stop_cli_server(process: subprocess.Popen, host: str,
+                    port: int) -> Optional[str]:
+    """SIGTERM a :func:`spawn_cli_server` process while an idle keep-alive
+    client holds a connection to it.
+
+    Blocking.  Returns ``None`` once it exits; if it is still running
+    10 s later, SIGKILLs it and the backends its ``/healthz`` lists, and
+    returns that failure.
+    """
+    import http.client  # deferred: serving processes never stop one
+
+    pids = [process.pid]
+    idle = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        idle.request("GET", "/healthz")
+        health = json.loads(idle.getresponse().read())
+        pids += [backend["pid"] for backend in health.get("backends", [])
+                 if backend.get("pid")]
+    except (OSError, http.client.HTTPException, ValueError):
+        pass                                # the front is already gone
+    process.terminate()
+    try:
+        process.wait(timeout=10)
+        return None
+    except subprocess.TimeoutExpired:
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        process.wait()
+        return "still running 10 s after SIGTERM with an idle client"
+    finally:
+        idle.close()
 
 
 def _kill_spawned(spawn: "asyncio.Future") -> None:

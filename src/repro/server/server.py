@@ -418,7 +418,7 @@ class AsyncCompletionServer:
     def _handle_release(self, payload) -> dict:
         """Explicitly drop one registered scene (idempotent).
 
-        Release work (result purge, arena retirement) is dict-sized and
+        Release work (result purge, arena release) is dict-sized and
         runs inline; the potentially large intern-table shed is deferred
         to the executor by the registry callback, exactly like eviction.
         """

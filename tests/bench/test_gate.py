@@ -3,6 +3,9 @@
 import argparse
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,3 +107,16 @@ class TestCommittedReports:
         assert exited.value.code == 2
         schema = _emitter(name).SCHEMA
         assert f"is not a {schema} report" in capsys.readouterr().err
+
+
+def test_importing_loadgen_loads_the_gate_alone():
+    """``repro.loadgen`` reaches the gate through the ``repro.bench``
+    package, which must not load the Table 2 runner or its provers."""
+    code = ("import sys, repro.loadgen; print(sorted(name for name in "
+            "sys.modules if name.startswith(('repro.bench.runner', "
+            "'repro.javamodel', 'repro.provers'))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert loaded.stdout.strip() == "[]"

@@ -1,5 +1,7 @@
 """Unit tests for repro.core.space (the environment arena)."""
 
+import weakref
+
 from repro.core.environment import Environment
 from repro.core.explore import explore
 from repro.core.generate_patterns import IndexedPatternGenerator
@@ -125,18 +127,12 @@ class TestLifecycle:
 
     def test_release_retires_and_detaches(self):
         environment = simple_env(("a", "A"))
-        arena = environment.succinct_arena()
+        arena = weakref.ref(environment.succinct_arena())
         before = arena_stats()["retired_arenas"]
         environment.release_arena()
+        assert arena() is None          # the environment held the last ref
         assert arena_stats()["retired_arenas"] == before + 1
-        assert environment.succinct_arena() is not arena
-
-    def test_retire_is_idempotent(self):
-        arena = EnvArena(_env(("a", "A")))
-        before = arena_stats()["retired_arenas"]
-        arena.retire()
-        arena.retire()
-        assert arena_stats()["retired_arenas"] == before + 1
+        assert environment.succinct_arena() is not None
 
     def test_stats_shape(self):
         arena = EnvArena(_env(("a", "A"), ("f", "A -> B")))
@@ -181,22 +177,21 @@ class TestLifecycle:
                 for goal in "ABCD"} == {"B", "D"}
 
     def test_retire_frees_proofs_and_keeps_their_counts(self):
-        arena = EnvArena(DISJOINT)
+        environment = simple_env(("a", "A"))
+        arena = environment.succinct_arena()
         arena.store_proof("k", _proof(arena, "B"))
         assert _find(arena, "k", "A") is not None
         before = arena_stats()
-        arena.retire()
+        collected = weakref.ref(arena)
+        del arena
+        environment.release_arena()
+        assert collected() is None
         after = arena_stats()
-        assert _find(arena, "k", "A") is None
-        arena.store_proof("k", _proof(arena, "B"))  # retired: not stored
-        assert arena.stats()["proofs"] == 0
         assert after["proofs"] == before["proofs"] - 1
         assert after["proof_hits"] == before["proof_hits"]
         assert after["proof_stores"] == before["proof_stores"]
 
     def test_a_collected_arena_keeps_its_counts_in_the_totals(self):
-        import weakref
-
         arena = EnvArena(DISJOINT)
         arena.store_proof("k", _proof(arena, "B"))
         _find(arena, "k", "A")

@@ -1,5 +1,7 @@
 """Scene lifecycle: release_scene, result purging, intern-table shedding."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.core.succinct import intern_table_size
@@ -12,6 +14,9 @@ imported java.io.File.new : String -> File \
 [freq=100] [style=constructor] [display=File]
 goal File
 """
+
+URL_READER = (Path(__file__).resolve().parents[2]
+              / "examples/scenes/url_reader.ins")
 
 OTHER_SCENE = """
 local count : Int
@@ -34,18 +39,39 @@ def _prepare(engine, text, name="scene"):
 
 class TestReleaseScene:
     def test_release_retires_environment_arena(self, engine):
+        import weakref
+
         from repro.core.space import arena_stats
 
         prepared = _prepare(engine, SCENE)
         engine.complete(prepared)  # builds the scene arena
-        arena = prepared.environment.succinct_arena()
+        arena = weakref.ref(prepared.environment.succinct_arena())
         before = arena_stats()["retired_arenas"]
         engine.release_scene(prepared)
+        assert arena() is None          # the scene held the last reference
         assert arena_stats()["retired_arenas"] >= before + 1
-        # A fresh accessor gets a new arena; the old one stayed intact for
-        # any in-flight search that captured it.
-        assert prepared.environment.succinct_arena() is not arena
-        assert len(arena) >= 1
+        assert prepared.environment.succinct_arena() is not None
+
+    @pytest.mark.parametrize("released", ["donor", "edited"])
+    def test_releasing_one_scene_of_an_edit_chain_keeps_reuse(
+            self, engine, released):
+        """The edited scene shares its donor's arena, so releasing either
+        one leaves the other's stored proof in place."""
+        from repro.incremental import apply_scene_delta, parse_delta_ops
+        from repro.lang.loader import load_environment_file
+
+        loaded = load_environment_file(URL_READER)
+        donor = engine.prepare(loaded.environment, loaded.subtypes,
+                               goal=loaded.goal, name="donor")
+        assert not engine.complete(donor, n=3).result.prove_reused
+        edited = apply_scene_delta(engine, donor, parse_delta_ops(
+            [{"op": "add", "decl": "local probe : Int"}])).prepared
+        assert not engine.complete(edited, n=3).result.prove_reused
+        gone, kept = ((donor, edited) if released == "donor"
+                      else (edited, donor))
+        engine.release_scene(gone)
+        assert [engine.complete(kept, n=n).result.prove_reused
+                for n in (4, 5, 6)] == [True, True, True]
 
     def test_release_drops_scene_and_results(self, engine):
         prepared = _prepare(engine, SCENE)

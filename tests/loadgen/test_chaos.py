@@ -7,7 +7,9 @@ import time
 import pytest
 
 from repro.loadgen.chaos import (ChaosController, ChaosError, ChaosOutcome,
-                                 ChaosPlan, KillRecord, StallRecord)
+                                 ChaosPlan, KillRecord, StallRecord,
+                                 format_report)
+from repro.server.router import Backend, CompletionRouter, RouterConfig
 
 
 class TestKillIndices:
@@ -75,6 +77,25 @@ class TestVictimSelection:
         assert choices(7) == choices(7)
 
 
+class TestRingOwners:
+    @pytest.mark.parametrize("backends", [2, 3, 4])
+    @pytest.mark.parametrize("replication", [1, 2, 3])
+    def test_owners_are_the_routers_replica_set(self, backends,
+                                                replication):
+        router = CompletionRouter(RouterConfig(
+            port=0, ring_replicas=16, replication=replication))
+        for index in range(backends):
+            router._adopt_backend(Backend(
+                backend_id=f"b{index}", host="127.0.0.1", port=9000 + index,
+                client=router._client("127.0.0.1", 9000 + index)))
+        healthz = router._healthz_payload()
+        roster = router._admin_list_payload()
+        for scene in (f"scn_{index:04x}" for index in range(40)):
+            owners = ChaosController.ring_owners(healthz, roster, scene)
+            assert [owner["backend_id"] for owner in owners] == \
+                router.ring.route_n(scene, replication)
+
+
 class TestStrike:
     def test_strike_kills_a_real_process(self):
         """SIGKILL an expendable child and verify the record."""
@@ -111,6 +132,39 @@ class TestStrike:
         record = controller.strike(healthz, phase="burst", event_index=0)
         assert record.pid == child.pid
         assert controller.kills == 1
+
+
+    def test_majority_kills_every_owner_and_only_the_owners(self):
+        children = [subprocess.Popen(
+            [sys.executable, "-c", "import time; time.sleep(60)"])
+            for _ in range(3)]
+        try:
+            healthz = {"backends": [
+                {"backend_id": f"b{index}", "managed": True,
+                 "pid": child.pid} for index, child in enumerate(children)]}
+            owners = healthz["backends"][1:]
+            controller = ChaosController(ChaosPlan(mode="majority"))
+            records = controller.strike(healthz, phase="burst",
+                                        event_index=0, victims=owners)
+            assert [record.backend_id for record in records] == ["b1", "b2"]
+            assert controller.kills == 2
+            assert [child.wait(timeout=10) for child in children[1:]] == \
+                [-9, -9]
+            assert children[0].poll() is None
+        finally:
+            for child in children:
+                if child.poll() is None:
+                    child.kill()
+                    child.wait()
+
+    def test_unmanaged_victims_are_refused(self):
+        controller = ChaosController(ChaosPlan(mode="majority"))
+        victims = [{"backend_id": "b0", "managed": True, "pid": 10_000},
+                   {"backend_id": "b1", "managed": False, "pid": None}]
+        with pytest.raises(ChaosError, match="router-supervised"):
+            controller.strike({"backends": victims}, phase="burst",
+                              event_index=0, victims=victims)
+        assert controller.kills == 0
 
 
 class TestRecoveryReport:
@@ -206,6 +260,33 @@ class TestStall:
                 child.kill()
                 child.wait()
 
+    def test_a_stall_resumes_by_itself_after_its_hold(self):
+        child = subprocess.Popen(
+            [sys.executable, "-c", "import time; time.sleep(60)"])
+        try:
+            controller = ChaosController(ChaosPlan(mode="slow", stall_s=1.0),
+                                         time_scale=0.5)
+            assert controller.hold_s == 0.5
+            healthz = {"backends": [
+                {"backend_id": "b0", "managed": True, "pid": child.pid}]}
+            record = controller.strike(healthz, phase="burst",
+                                       event_index=0)
+            deadline = time.monotonic() + 5.0
+            while self._proc_state(child.pid) != "T":
+                assert time.monotonic() < deadline, "child never stopped"
+                time.sleep(0.01)
+            deadline = time.monotonic() + 10.0
+            while self._proc_state(child.pid) == "T":
+                assert time.monotonic() < deadline, "child never resumed"
+                time.sleep(0.01)
+            assert record.resumed is True
+            assert controller.resume_all() == 0
+            assert child.poll() is None, "the stalled child must survive"
+        finally:
+            controller.resume_all()
+            child.kill()
+            child.wait()
+
     def test_stall_skips_already_stalled_victims(self):
         child = subprocess.Popen(
             [sys.executable, "-c", "import time; time.sleep(60)"])
@@ -287,3 +368,38 @@ class TestSlowModeReport:
         assert section["observed_slow_timeouts"] == 2
         assert section["observed_ejections"] == 1
         assert section["observed_rebalances"] == 0
+
+
+class TestFormatReport:
+    STATS = {"restarts": 2, "reregistrations": 1, "failovers": 3,
+             "degraded_served": 1, "hedges": {"fired": 4, "won": 3},
+             "deadline_exceeded": 0, "slow_timeouts": 1, "ejections": 0}
+
+    def _doc(self, mode, kills=(), stalls=()):
+        controller = ChaosController(ChaosPlan(mode=mode))
+        controller.records += [KillRecord(
+            backend_id=backend_id, pid=pid, phase="burst", event_index=0,
+            at_monotonic=0.0) for backend_id, pid in kills]
+        controller.stall_records += [StallRecord(
+            backend_id=backend_id, pid=pid, phase="burst", event_index=0,
+            at_monotonic=0.0, resumed=True) for backend_id, pid in stalls]
+        return controller.report(self.STATS, journal_scenes=3)
+
+    def test_kill(self):
+        assert format_report(self._doc("kill", kills=[("b1", 11)])) == (
+            "chaos(kill): 1 kill(s) [b1 (pid 11)], 2 respawn(s), "
+            "3 failover(s), 1 degraded, reregistration storm bounded: "
+            "True")
+
+    def test_slow(self):
+        assert format_report(self._doc("slow", stalls=[("b0", 10)])) == (
+            "chaos(slow): 1 stall(s) [b0 (pid 10)], resumed: True, "
+            "hedges 4 (won 3), deadline_exceeded 0, slow timeouts 1, "
+            "ejections 0, respawns 2")
+
+    def test_majority(self):
+        doc = self._doc("majority", kills=[("b0", 10), ("b2", 12)])
+        assert format_report(doc) == (
+            "chaos(majority): 2 kill(s) [b0 (pid 10), b2 (pid 12)], "
+            "2 respawn(s), 3 failover(s), 1 degraded, reregistration "
+            "storm bounded: True")

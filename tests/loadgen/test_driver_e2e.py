@@ -11,7 +11,6 @@ shared CI runners.
 
 import asyncio
 import dataclasses
-import subprocess
 
 import pytest
 
@@ -20,7 +19,7 @@ from repro.loadgen.driver import DriverConfig, replay_trace
 from repro.loadgen.slo import SLO, build_report, evaluate_slos
 from repro.loadgen.traces import (PHASE_BURST, PHASE_RECOVERY, PROFILES,
                                   generate_trace, trace_digest)
-from repro.server.router import spawn_cli_server
+from repro.server.router import spawn_cli_server, stop_cli_server
 
 #: A miniature workload: the smoke profile's scene population (the
 #: deterministic victim pick owns a hot scene there, so the dead shard
@@ -45,12 +44,7 @@ def router_topology(tmp_path_factory):
     try:
         yield host, port
     finally:
-        process.terminate()
-        try:
-            process.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            process.kill()
-            process.wait()
+        stop_cli_server(process, host, port)
 
 
 class TestChaosPlumbingE2E:

@@ -8,7 +8,8 @@ import repro.server.smoke as smoke
 def test_step_lines_reach_stdout_when_the_drive_fails(monkeypatch, capsys):
     monkeypatch.setattr(smoke, "_spawn_server",
                         lambda *args, **kwargs: (None, "127.0.0.1", 1))
-    monkeypatch.setattr(smoke, "_stop", lambda process, host, port: None)
+    monkeypatch.setattr(smoke, "stop_cli_server",
+                        lambda process, host, port: None)
 
     async def failing_drive(*args, report, **kwargs):
         report.append("first step done")
