@@ -1,16 +1,21 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for design choices the paper argues for (§4-§6).
 
 * weighted-priority vs FIFO exploration (§5.6's responsiveness argument);
-* interleaved vs batch pattern generation (§5.6);
+* interleaved vs batch pattern generation (§5.6, Fig. 9);
 * coercion weight (Table 1's 10) vs an expensive-coercion variant (§6);
 * the completion-bound lookahead in reconstruction (the transitively
   applied "type weights guide the search" of §4).
 """
 
+import time
+
 import pytest
 
 from repro.core.config import SynthesisConfig
+from repro.core.explore import explore
+from repro.core.generate_patterns import generate_patterns
 from repro.core.reconstruct import Reconstructor
+from repro.core.succinct import sigma
 from repro.core.synthesizer import Synthesizer
 from repro.core.weights import WeightPolicy
 from repro.bench.suite import benchmark_by_number, build_scene
@@ -50,25 +55,42 @@ def test_ablation_exploration_discipline(benchmark, figure1_scene):
 
 
 def test_ablation_interleaved_patterns(benchmark, figure1_scene):
-    """§5.6 interleaving must not change results; timings are comparable."""
+    """§5.6 interleaving must not change results; timings are comparable.
+
+    The interleaved arm is the prover, which feeds each visited request's
+    edges to the Fig. 9 fixpoint as exploration finds them; the batch arm
+    explores first, then feeds the whole space at once.  `Reconstructor`
+    reads only the `PatternSet`, so equal sets give equal snippets.
+    """
     scene = figure1_scene
+    synthesizer = Synthesizer(scene.environment,
+                              config=SynthesisConfig(prover_time_limit=None),
+                              subtypes=scene.subtypes)
+    environment = synthesizer.environment
 
-    def run(interleaved):
-        synthesizer = Synthesizer(
-            scene.environment,
-            config=SynthesisConfig(interleaved=interleaved),
-            subtypes=scene.subtypes)
-        return synthesizer.synthesize(scene.goal, n=5)
+    def batch():
+        space = explore(environment.succinct_environment(), sigma(scene.goal),
+                        priority=lambda stype: synthesizer.policy.type_weight(
+                            stype, environment),
+                        max_nodes=synthesizer.config.max_explore_nodes)
+        return generate_patterns(space)
 
-    interleaved = benchmark.pedantic(lambda: run(True), rounds=3,
-                                     iterations=1)
-    batch = run(False)
+    def timed(run):
+        start = time.perf_counter()
+        patterns = run()
+        return patterns, time.perf_counter() - start
+
+    interleaved, interleaved_s = benchmark.pedantic(
+        lambda: timed(lambda: synthesizer.prove(scene.goal)[1]), rounds=3,
+        iterations=1)
+    batched, batched_s = timed(batch)
 
     print("\n=== Ablation: interleaved vs batch pattern generation ===")
-    print(f"  interleaved: prove {interleaved.prove_seconds * 1000:.0f} ms")
-    print(f"  batch:       prove {batch.prove_seconds * 1000:.0f} ms")
-    assert [s.code for s in interleaved.snippets] == \
-        [s.code for s in batch.snippets]
+    print(f"  interleaved: prove {interleaved_s * 1000:.0f} ms")
+    print(f"  batch:       prove {batched_s * 1000:.0f} ms")
+    assert interleaved.patterns == batched.patterns
+    assert interleaved.inhabited == batched.inhabited
+    assert interleaved._index == batched._index
 
 
 def test_ablation_coercion_weight(benchmark):

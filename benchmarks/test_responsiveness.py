@@ -23,8 +23,7 @@ def test_anytime_prover_budgets(benchmark, figure1_scene):
         for budget in BUDGETS:
             synthesizer = Synthesizer(
                 scene.environment,
-                config=SynthesisConfig(prover_time_limit=budget,
-                                       interleaved=True),
+                config=SynthesisConfig(prover_time_limit=budget),
                 subtypes=scene.subtypes)
             result = synthesizer.synthesize(scene.goal, n=5)
             outcomes.append((budget, result))

@@ -3,9 +3,9 @@
 The paper's deployment exposes two user-facing budgets — a prover limit
 (0.5 s in the evaluation) and a reconstruction limit (7 s) — plus the number
 of snippets to display (N = 10).  :class:`SynthesisConfig` captures those and
-the engineering knobs the implementation sections describe: the exploration
-queue discipline (weighted priority vs. plain FIFO) and the interleaving of
-exploration with pattern generation.
+the engineering knob the implementation sections describe: the exploration
+queue discipline (weighted priority vs. plain FIFO).  Pattern generation
+always runs interleaved with exploration (§5.6).
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ class SynthesisConfig:
     max_term_size: Optional[int] = None
     #: Weighted priority queue in exploration (§5.6); False = FIFO.
     prioritised_exploration: bool = True
-    #: Interleave pattern generation with exploration (§5.6).
-    interleaved: bool = True
 
     @staticmethod
     def paper_defaults() -> "SynthesisConfig":

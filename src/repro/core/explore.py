@@ -97,7 +97,6 @@ class IndexedSpace:
     edge_source: list = field(default_factory=list)    # edge -> matched member
     edge_children: list = field(default_factory=list)  # edge -> child nodes
     node_edges: dict = field(default_factory=dict)     # node -> (start, end)
-    predecessors: dict = field(default_factory=dict)   # node -> [edge, ...]
     _requests: dict = field(default_factory=dict, repr=False)
     _edges: dict = field(default_factory=dict, repr=False)
 
@@ -131,13 +130,8 @@ class IndexedSpace:
 class SearchSpace:
     """The explored search space: nodes, edges and exploration statistics.
 
-    ``predecessors`` is the §5.7 backward map, filled in *during*
-    exploration: for every request, the reachability edges whose premises
-    propagate to it.  Pattern generation can then resolve its "compatible"
-    set by lookup instead of scanning the space.
-
-    ``order``, ``edges`` and ``predecessors`` are classic views,
-    materialised from the integer arrays of ``indexed`` on first access.
+    ``order`` and ``edges`` are classic views, materialised from the
+    integer arrays of ``indexed`` on first access.
     """
 
     def __init__(self, root: Request, indexed: IndexedSpace):
@@ -160,13 +154,6 @@ class SearchSpace:
         return {isp.request_view(node):
                 tuple(edge(j) for j in range(*isp.node_edges[node]))
                 for node in isp.order}
-
-    @cached_property
-    def predecessors(self) -> dict:
-        isp = self.indexed
-        edge = isp.edge_view
-        return {isp.request_view(node): tuple(edge(j) for j in edges)
-                for node, edges in isp.predecessors.items()}
 
     # -- queries -------------------------------------------------------------
 
@@ -246,10 +233,10 @@ def explore(env: EnvKey, goal: SuccinctType,
         omitted, a private arena lives for just this call.
     on_edges_indexed:
         Optional callback invoked as ``(space, start, end)`` with each
-        visited request's half-open range of new edge ids — the hook the
-        interleaved prover (§5.6) uses to trigger incremental pattern
-        generation as soon as new reachability terms appear.  No view
-        objects are built.
+        visited request's half-open range of new edge ids — the hook
+        through which the prover interleaves pattern generation with
+        exploration (§5.6).  The pattern generator keeps the §5.7
+        node -> waiting-edges map itself.  No view objects are built.
 
     Returns the explored :class:`SearchSpace`.
     """
@@ -267,7 +254,6 @@ def explore(env: EnvKey, goal: SuccinctType,
     edge_children = isp.edge_children
     node_edges = isp.node_edges
     order = isp.order
-    predecessors: dict[int, list[int]] = {}
     node_of: dict[tuple[str, int], int] = {}
     arena_strip = arena.strip
     arena_members = arena.members_returning
@@ -308,19 +294,12 @@ def explore(env: EnvKey, goal: SuccinctType,
         env_id = node_envs[current]
         span_start = len(edge_node)
         for member in arena_members(env_id, node_targets[current]):
-            edge = len(edge_node)
             edge_node.append(current)
             edge_source.append(member)
             children = []
             for premise in member.sorted_arguments():
                 child = node_for(*arena_strip(premise, env_id))
                 children.append(child)
-                # The §5.7 backward map: `edge` waits on `child`.
-                waiters = predecessors.get(child)
-                if waiters is None:
-                    predecessors[child] = [edge]
-                else:
-                    waiters.append(edge)
                 if child not in visited:
                     worklist.push(priority(premise) if priority else 0.0,
                                   child)
@@ -329,13 +308,6 @@ def explore(env: EnvKey, goal: SuccinctType,
         node_edges[current] = (span_start, span_end)
         if span_end > span_start and on_edges_indexed is not None:
             on_edges_indexed(isp, span_start, span_end)
-
-    # Deduplicate watchers at the source: two premises of one edge can
-    # strip to the same child request (a higher-order premise next to a
-    # direct one), and a consumer counting *distinct* children must see
-    # each watcher once or it double-decrements (see GenerateP §5.7).
-    isp.predecessors = {node: list(dict.fromkeys(edges))
-                        for node, edges in predecessors.items()}
 
     space = SearchSpace(root=isp.request_view(root), indexed=isp)
     space.truncated = truncated

@@ -6,19 +6,20 @@ AND-OR structure: an edge fires when all its premise requests are
 inhabited, a request is inhabited when at least one of its edges fires —
 and turns every firing edge into a *succinct pattern* ``Gamma@S' : t``
 (the PROD rule).  The TRANSFER rule of the paper moves premises that
-became inhabited from the pending set ``S`` to the witnessed set ``Pi``;
-our counter-based fixpoint is the standard implementation of exactly that
-bookkeeping.
+became inhabited from the pending set ``S`` to the witnessed set ``Pi``.
 
-The fixpoints run over the explored space's
-:class:`~repro.core.explore.IndexedSpace`: the counters, watch-lists and
-inhabited set are arrays and dicts over dense integer node/edge ids, and
-no `Request`/`ReachabilityEdge` view is hashed anywhere in the fixpoint.
-:class:`IndexedPatternGenerator` is the online (§5.6 interleaved) form,
-fed edge-id spans straight from the explorer.  The original structural
-implementations live with the tests (``tests/core/oracle.py``); the
-property suite asserts both produce identical pattern sets, truncated runs
-included.
+:class:`IndexedPatternGenerator` is the one implementation: the Fig. 9
+worklist over the explored space's
+:class:`~repro.core.explore.IndexedSpace`, whose pending sets,
+watch-lists and inhabited set are keyed by dense integer node/edge ids,
+so no `Request`/`ReachabilityEdge` view is hashed anywhere in the
+fixpoint.  The prover feeds it online, one edge-id span per visited
+request (§5.6), and its watch-lists are the §5.7 node -> waiting-edges
+map, built as the edges arrive; :func:`generate_patterns` feeds it a
+whole explored space at once.  The structural post-hoc, Fig. 9 and §5.7
+fixpoints live with the tests (``tests/core/oracle.py``); the property
+suites assert that this one produces identical pattern sets, truncated
+runs included.
 """
 
 from __future__ import annotations
@@ -128,129 +129,17 @@ class PatternSet:
                 f"{len(self.inhabited)} inhabited requests)")
 
 
-def _indexed_pattern_set(isp: IndexedSpace, pattern_edges: Iterable[int],
-                         inhabited_ids: Iterable[int]) -> PatternSet:
-    """Materialise the classic :class:`PatternSet` from integer results."""
-    # Dedup on (env id, interned source) before building Pattern objects:
-    # several edges of one request share a source type, and int/identity
-    # keys are far cheaper to hash than pattern triples.
-    edge_node = isp.edge_node
-    edge_source = isp.edge_source
-    node_envs = isp.node_envs
-    node_targets = isp.node_targets
-    distinct = set()
-    for edge in pattern_edges:
-        node = edge_node[edge]
-        distinct.add((node_envs[node], edge_source[edge], node_targets[node]))
-    arena_members = isp.arena.members
-    patterns = set()
-    for env_id, source, target in distinct:
-        pattern = Pattern(arena_members(env_id), source.arguments, target)
-        # The matched member *is* the pattern's succinct type
-        # (``arguments -> result`` with ``result == target``); seeding the
-        # view with the interned instance makes downstream ``sort_key``
-        # and ``Select`` lookups identity-fast, and warm across queries.
-        object.__setattr__(pattern, "_stype", source)
-        patterns.add(pattern)
-    inhabited = {isp.request_view(node) for node in inhabited_ids}
-    return PatternSet.build(patterns, inhabited)
-
-
-def pattern_set(isp: IndexedSpace, inhabited: set) -> PatternSet:
-    """The patterns of every edge whose premises are all *inhabited* (PROD)."""
-    children = isp.edge_children
-    firing = [edge for edge in range(len(children))
-              if all(child in inhabited for child in children[edge])]
-    return _indexed_pattern_set(isp, firing, inhabited)
-
-
-def generate_patterns(space: SearchSpace) -> PatternSet:
-    """Counter-based least fixpoint over integer edge/node ids."""
-    isp = space.indexed
-    return pattern_set(isp, inhabited_nodes(isp))
-
-
-def inhabited_nodes(isp: IndexedSpace) -> set[int]:
-    """The inhabited node ids: the least fixpoint, counter-based."""
-    edge_count = len(isp.edge_node)
-    waiting = [0] * edge_count
-    watchers: dict[int, list[int]] = {}
-    ready: deque[int] = deque()
-
-    for edge in range(edge_count):
-        children = set(isp.edge_children[edge])
-        waiting[edge] = len(children)
-        if not children:
-            ready.append(edge)
-        for child in children:
-            watchers.setdefault(child, []).append(edge)
-
-    inhabited: set[int] = set()
-    edge_node = isp.edge_node
-    while ready:
-        edge = ready.popleft()
-        node = edge_node[edge]
-        if node in inhabited:
-            continue
-        inhabited.add(node)
-        for watcher in watchers.get(node, ()):
-            waiting[watcher] -= 1
-            if waiting[watcher] == 0:
-                ready.append(watcher)
-    return inhabited
-
-
-def generate_patterns_with_predecessor_map(space: SearchSpace) -> PatternSet:
-    """The §5.7 optimisation: resolve watchers through the backward map.
-
-    The paper builds, during exploration, a map from each reachability term
-    to the terms whose propagation created it; the TRANSFER step's
-    "compatible" set then becomes a map lookup instead of an expensive scan
-    of ``others``.  Functionally identical to :func:`generate_patterns`
-    (the tests assert set equality); the difference is purely how the
-    watch-lists are obtained.
-    """
-    isp = space.indexed
-    edge_count = len(isp.edge_node)
-    waiting = [0] * edge_count
-    ready: deque[int] = deque()
-    for edge in range(edge_count):
-        children = set(isp.edge_children[edge])
-        waiting[edge] = len(children)
-        if not children:
-            ready.append(edge)
-
-    inhabited: set[int] = set()
-    edge_node = isp.edge_node
-    predecessors = isp.predecessors
-    while ready:
-        edge = ready.popleft()
-        node = edge_node[edge]
-        if node in inhabited:
-            continue
-        inhabited.add(node)
-        # §5.7: predecessors(node) is exactly the compatible set, watcher-
-        # deduplicated at build time (explore) to match the distinct-
-        # children countdown above.
-        for watcher in predecessors.get(node, ()):
-            waiting[watcher] -= 1
-            if waiting[watcher] == 0:
-                ready.append(watcher)
-
-    return pattern_set(isp, inhabited)
-
-
 class IndexedPatternGenerator:
     """The paper's Fig. 9 algorithm over integer ids, consumable online.
 
-    The §5.6 interleaved prover wires :meth:`add_span` into the explorer's
-    ``on_edges_indexed`` hook: every batch of freshly discovered edges is
-    folded into the fixpoint immediately, so a time-limited prover still
-    yields patterns for everything it has explored.  State is exactly the
-    published pseudo-code's — a pending set ``S`` per reachability term,
-    leaves processed from a queue, TRANSFER resolving pending terms
-    against each new leaf, PROD emitting the leaf's pattern — just keyed
-    by edge/node ids instead of structural objects.
+    The prover wires :meth:`add_span` into the explorer's
+    ``on_edges_indexed`` hook (§5.6): every batch of freshly discovered
+    edges is folded into the fixpoint immediately, so a time-limited
+    prover still yields patterns for everything it has explored.  State
+    is exactly the published pseudo-code's — a pending set ``S`` per
+    reachability term, leaves processed from a queue, TRANSFER resolving
+    pending terms against each new leaf, PROD emitting the leaf's pattern
+    — just keyed by edge/node ids instead of structural objects.
     """
 
     def __init__(self) -> None:
@@ -309,16 +198,41 @@ class IndexedPatternGenerator:
         return self._inhabited
 
     def result(self) -> PatternSet:
-        if self._space is None:                    # no edges ever arrived
+        """Materialise the classic :class:`PatternSet` from integer results."""
+        isp = self._space
+        if isp is None:                            # no edges ever arrived
             return PatternSet.build((), ())
-        return _indexed_pattern_set(self._space, self._pattern_edges,
-                                    self._inhabited)
+        # Dedup on (env id, interned source) before building Pattern
+        # objects: several edges of one request share a source type, and
+        # int/identity keys are far cheaper to hash than pattern triples.
+        edge_node = isp.edge_node
+        edge_source = isp.edge_source
+        node_envs = isp.node_envs
+        node_targets = isp.node_targets
+        distinct = set()
+        for edge in self._pattern_edges:
+            node = edge_node[edge]
+            distinct.add((node_envs[node], edge_source[edge],
+                          node_targets[node]))
+        arena_members = isp.arena.members
+        patterns = set()
+        for env_id, source, target in distinct:
+            pattern = Pattern(arena_members(env_id), source.arguments, target)
+            # The matched member *is* the pattern's succinct type
+            # (``arguments -> result`` with ``result == target``); seeding
+            # the view with the interned instance makes downstream
+            # ``sort_key`` and ``Select`` lookups identity-fast, and warm
+            # across queries.
+            object.__setattr__(pattern, "_stype", source)
+            patterns.add(pattern)
+        inhabited = {isp.request_view(node) for node in self._inhabited}
+        return PatternSet.build(patterns, inhabited)
 
 
-def generate_patterns_incremental(space: SearchSpace) -> PatternSet:
-    """Run the Fig. 9 worklist over a fully explored space."""
+def generate_patterns(space: SearchSpace) -> PatternSet:
+    """GenerateP over a fully explored *space*: its whole edge range
+    ``[0, edge_count)`` fed to one :class:`IndexedPatternGenerator`."""
     isp = space.indexed
     generator = IndexedPatternGenerator()
-    if isp.edge_count():
-        generator.add_span(isp, 0, isp.edge_count())
+    generator.add_span(isp, 0, isp.edge_count())
     return generator.result()

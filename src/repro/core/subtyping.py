@@ -60,9 +60,6 @@ class SubtypeGraph:
         for lower, upper in zip(names, names[1:]):
             self.add_edge(lower, upper)
 
-    def direct_supertypes(self, name: str) -> frozenset[str]:
-        return frozenset(self._supertypes.get(name, ()))
-
     def edges(self) -> list[tuple[str, str]]:
         """All direct edges, deterministically ordered."""
         return sorted((sub, sup)

@@ -11,10 +11,10 @@ weight policy and subtype graph, erases coercions from the results (§6),
 renders Scala-like code for each snippet, and reports per-phase timings —
 the quantities Table 2 calls *Prove*, *Recon* and *Total*.
 
-With ``config.interleaved`` (the default, following §5.6) pattern generation
-runs online: every batch of reachability edges found by exploration is fed
-to an :class:`IndexedPatternGenerator` immediately, so a time-limited
-prover still yields patterns for everything it has explored.
+Pattern generation runs online, interleaved with exploration (§5.6):
+every batch of reachability edges found by exploration is fed to an
+:class:`IndexedPatternGenerator` immediately, so a time-limited prover
+still yields patterns for everything it has explored.
 
 :meth:`Synthesizer.synthesize` is :meth:`~Synthesizer.prove_result`
 followed by :meth:`~Synthesizer.reconstruct`, and always proves.  The
@@ -34,9 +34,7 @@ from repro.core.config import SynthesisConfig
 from repro.core.environment import Environment
 from repro.core.errors import SynthesisError
 from repro.core.explore import Request, SearchSpace, explore
-from repro.core.generate_patterns import (IndexedPatternGenerator,
-                                          PatternSet, inhabited_nodes,
-                                          pattern_set)
+from repro.core.generate_patterns import IndexedPatternGenerator, PatternSet
 from repro.core.reconstruct import Reconstructor
 from repro.core.subtyping import (SubtypeGraph, environment_with_subtyping,
                                   erase_coercions)
@@ -292,24 +290,14 @@ class Synthesizer:
         priority = None
         if self.config.prioritised_exploration and not self.policy.uniform:
             priority = self._priority
-        arena = self.environment.succinct_arena()
-
-        if self.config.interleaved:
-            generator = IndexedPatternGenerator()
-            space = explore(self._env_key, succinct_goal,
-                            priority=priority,
-                            max_nodes=self.config.max_explore_nodes,
-                            time_limit=self.config.prover_time_limit,
-                            arena=arena,
-                            on_edges_indexed=generator.add_span)
-            return space, generator.result(), generator.inhabited
+        generator = IndexedPatternGenerator()
         space = explore(self._env_key, succinct_goal,
                         priority=priority,
                         max_nodes=self.config.max_explore_nodes,
                         time_limit=self.config.prover_time_limit,
-                        arena=arena)
-        inhabited = inhabited_nodes(space.indexed)
-        return space, pattern_set(space.indexed, inhabited), inhabited
+                        arena=self.environment.succinct_arena(),
+                        on_edges_indexed=generator.add_span)
+        return space, generator.result(), generator.inhabited
 
     def is_inhabited(self, goal: Type) -> bool:
         """Decide plain type inhabitation (the provability question)."""
@@ -360,9 +348,9 @@ class Synthesizer:
         result.pattern_count = len(patterns)
         result.explore_truncated = space.truncated
         result.inhabited = patterns.is_inhabited(space.root)
-        # In interleaved mode pattern time is folded into exploration; report
-        # the split by attributing the explorer's own measure to explore and
-        # the remainder to patterns.
+        # Pattern time is folded into exploration; report the split by
+        # attributing the explorer's own measure to explore and the
+        # remainder to patterns.
         result.explore_seconds = min(space.elapsed_seconds, prove_elapsed)
         result.patterns_seconds = max(prove_elapsed - result.explore_seconds, 0.0)
         return result, patterns, space, inhabited

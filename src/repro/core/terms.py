@@ -234,11 +234,6 @@ class LNFTerm:
     def __str__(self) -> str:
         return format_lnf(self)
 
-    @property
-    def is_closed_application(self) -> bool:
-        """True when the term has no binders (a bare application)."""
-        return not self.binders
-
 
 def lnf(head: str, *arguments: LNFTerm, binders: tuple[Binder, ...] = ()) -> LNFTerm:
     """Convenience constructor for LNF terms."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.core.errors import CorpusError
 
@@ -93,13 +93,6 @@ class FrequencyTable:
         for symbol, count in other._counts.items():
             combined[symbol] = combined.get(symbol, 0) + count
         return FrequencyTable(combined)
-
-    @staticmethod
-    def from_counts(pairs: Iterable[tuple[str, int]]) -> "FrequencyTable":
-        table: dict[str, int] = {}
-        for symbol, count in pairs:
-            table[symbol] = table.get(symbol, 0) + count
-        return FrequencyTable(table)
 
     def __repr__(self) -> str:
         return f"FrequencyTable({len(self._counts)} symbols)"

@@ -69,9 +69,10 @@ from repro.engine.keys import QueryKey, config_key, policy_key, query_key
 VARIANTS = ("no_weights", "no_corpus", "full")
 
 #: Format version of result-cache snapshot files
-#: (:meth:`CompletionEngine.snapshot_results`); bump on layout changes —
-#: a mismatched snapshot restores nothing rather than garbage.
-SNAPSHOT_VERSION = 1
+#: (:meth:`CompletionEngine.snapshot_results`); bump on layout changes,
+#: a `QueryKey.budgets` that gains or loses a config field included — a
+#: mismatched snapshot restores nothing rather than garbage.
+SNAPSHOT_VERSION = 2
 
 
 #: A settle reclaims (unfreeze, one full collection, re-freeze) instead of

@@ -18,8 +18,6 @@ from repro.core.environment import Declaration, DeclKind, Environment
 from repro.core.errors import BudgetExhaustedError
 from repro.core.synthesizer import Synthesizer
 from repro.provers.formulas import Formula
-from repro.provers.g4ip import G4ipProver
-from repro.provers.inverse import InverseMethodProver
 from repro.provers.translation import formula_to_type
 
 
@@ -86,12 +84,3 @@ def prove_timed(prover: Prover, hypotheses: Iterable[Formula],
         return ProofResult(prover.name, None,
                            time.perf_counter() - start, timed_out=True)
     return ProofResult(prover.name, provable, time.perf_counter() - start)
-
-
-def default_provers(time_limit: Optional[float] = 5.0) -> list[Prover]:
-    """The three engines of the Table 2 comparison."""
-    return [
-        SuccinctProver(time_limit=time_limit),
-        InverseMethodProver(time_limit=time_limit),
-        G4ipProver(time_limit=time_limit),
-    ]

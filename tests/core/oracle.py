@@ -2,7 +2,7 @@
 
 ``repro.core`` runs each of the paper's algorithms once, in its fast form:
 Explore (Fig. 7) over an integer-id environment arena, GenerateP
-(Fig. 8/9) as counter fixpoints over dense node and edge ids, GenerateT
+(Fig. 8/9) as one Fig. 9 fixpoint over dense node and edge ids, GenerateT
 (Fig. 10) over a packed spine frontier.  This module keeps the direct
 transcriptions those forms replaced — whole ``Request`` and
 ``ReachabilityEdge`` objects, whole partial-expression trees — plus the
@@ -20,9 +20,12 @@ properties hold the production code to them:
 * ``tests/properties/test_completeness.py`` — the synthesizer against
   :func:`rcn`.
 
-The structural fixpoints read only ``space.edges`` and
-``space.predecessors``, so they run over a :class:`StructuralSpace` and
-over the views of a production ``SearchSpace`` alike.
+The post-hoc and Fig. 9 fixpoints read only ``space.edges``, so they run
+over a :class:`StructuralSpace` and over the views of a production
+``SearchSpace`` alike.  The §5.7 reference now reads only the oracle's
+:class:`StructuralSpace`: it also reads ``space.predecessors``, the
+backward map that only :func:`explore_reference` builds (production
+keeps that map inside its pattern generator, as waiting-edge lists).
 """
 
 from __future__ import annotations
@@ -86,9 +89,10 @@ def edge_children(edge: ReachabilityEdge) -> tuple[Request, ...]:
 class StructuralSpace:
     """The search space :func:`explore_reference` fills eagerly.
 
-    Field names match the production ``SearchSpace`` views: ``edges`` maps
-    each visited request to its edges in discovery order, ``predecessors``
-    each request to the deduplicated edges that wait on it.
+    ``order`` and ``edges`` match the production ``SearchSpace`` views:
+    ``edges`` maps each visited request to its edges in discovery order.
+    ``predecessors``, which production does not build, is the §5.7
+    backward map: each request to the deduplicated edges that wait on it.
     """
 
     root: Request
@@ -129,9 +133,10 @@ def explore_reference(env: EnvKey, goal: SuccinctType,
                       ) -> StructuralSpace:
     """Fig. 7 in direct structural form.
 
-    Semantically identical to ``explore`` (node order, edge and predecessor
-    maps, truncated runs included).  ``on_edges`` receives each visited
-    request's batch of new edges, as the §5.6 interleaved prover would.
+    Semantically identical to ``explore`` (node order and edge map,
+    truncated runs included); it also builds the §5.7 predecessor map.
+    ``on_edges`` receives each visited request's batch of new edges, as
+    the §5.6 interleaved prover would.
     """
     start = time.perf_counter()
     env = frozenset(env)
@@ -241,7 +246,7 @@ class IncrementalPatternGenerator:
 
     ``add_edges`` may be called repeatedly as exploration discovers new
     reachability terms.  ``IndexedPatternGenerator`` is the production
-    (integer-id) equivalent the interleaved prover uses.
+    (integer-id) equivalent, the one pattern fixpoint in ``repro.core``.
     """
 
     def __init__(self) -> None:

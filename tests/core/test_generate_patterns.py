@@ -4,11 +4,10 @@ from hypothesis import given, settings
 
 from repro.core.explore import explore
 from repro.core.generate_patterns import (IndexedPatternGenerator,
-                                          generate_patterns,
-                                          generate_patterns_incremental,
-                                          generate_patterns_with_predecessor_map)
+                                          generate_patterns)
 from repro.core.succinct import primitive, sigma
 from repro.core.types import parse
+from tests.core import oracle
 from tests.helpers import environment_and_goal
 
 
@@ -19,6 +18,11 @@ def _env(*types):
 def _space(env_types, goal_text):
     env = _env(*env_types)
     return explore(env, sigma(parse(goal_text)))
+
+
+def _reference_space(env_types, goal_text):
+    """The oracle's structural space, which also holds the §5.7 map."""
+    return oracle.explore_reference(_env(*env_types), sigma(parse(goal_text)))
 
 
 class TestFixpoint:
@@ -80,15 +84,19 @@ class TestFixpoint:
 
 
 class TestIncremental:
+    """`generate_patterns` against the structural Fig. 9 worklist."""
+
     def test_matches_fixpoint_on_simple_chain(self):
-        space = _space(["A", "A -> B", "B -> C"], "C")
-        assert (generate_patterns(space).patterns
-                == generate_patterns_incremental(space).patterns)
+        scene = (["A", "A -> B", "B -> C"], "C")
+        assert (generate_patterns(_space(*scene)).patterns
+                == oracle.generate_patterns_incremental_reference(
+                    _reference_space(*scene)).patterns)
 
     def test_matches_fixpoint_on_cycles(self):
-        space = _space(["A -> B", "B -> A", "A"], "B")
-        assert (generate_patterns(space).patterns
-                == generate_patterns_incremental(space).patterns)
+        scene = (["A -> B", "B -> A", "A"], "B")
+        assert (generate_patterns(_space(*scene)).patterns
+                == oracle.generate_patterns_incremental_reference(
+                    _reference_space(*scene)).patterns)
 
     def test_online_feeding_matches_batch(self):
         space = _space(["A", "A -> B", "B -> C", "C -> D"], "D")
@@ -109,40 +117,38 @@ class TestIncremental:
     @given(environment_and_goal())
     def test_agreement_on_random_environments(self, env_goal):
         environment, goal = env_goal
-        space = explore(environment.succinct_environment(), sigma(goal))
-        batch = generate_patterns(space)
-        online = generate_patterns_incremental(space)
-        assert batch.patterns == online.patterns
-        assert batch.inhabited == online.inhabited
+        env, succinct_goal = environment.succinct_environment(), sigma(goal)
+        produced = generate_patterns(explore(env, succinct_goal))
+        reference = oracle.generate_patterns_incremental_reference(
+            oracle.explore_reference(env, succinct_goal))
+        assert produced.patterns == reference.patterns
+        assert produced.inhabited == reference.inhabited
 
 
 class TestPredecessorMap:
-    """The §5.7 optimisation must be observationally identical."""
-
-    def test_predecessor_map_built_during_exploration(self):
-        space = _space(["A", "A -> B"], "B")
-        a_node = next(request for request in space.nodes()
-                      if request.target == "A")
-        predecessor_edges = space.predecessors[a_node]
-        assert any(edge.request.target == "B" for edge in predecessor_edges)
+    """`generate_patterns` against the structural §5.7 fixpoint, which
+    resolves watchers through the oracle space's backward map."""
 
     def test_matches_fixpoint_on_simple_chain(self):
-        space = _space(["A", "A -> B", "B -> C"], "C")
-        assert (generate_patterns(space).patterns
-                == generate_patterns_with_predecessor_map(space).patterns)
+        scene = (["A", "A -> B", "B -> C"], "C")
+        assert (generate_patterns(_space(*scene)).patterns
+                == oracle.generate_patterns_with_predecessor_map_reference(
+                    _reference_space(*scene)).patterns)
 
     def test_matches_fixpoint_on_cycles(self):
-        space = _space(["A -> B", "B -> A"], "A")
-        assert (generate_patterns(space).inhabited
-                == generate_patterns_with_predecessor_map(space).inhabited)
+        scene = (["A -> B", "B -> A"], "A")
+        assert (generate_patterns(_space(*scene)).inhabited
+                == oracle.generate_patterns_with_predecessor_map_reference(
+                    _reference_space(*scene)).inhabited)
 
     def test_duplicate_premise_children_handled(self):
         # Premises A and ({A} -> A) strip to the same child when A is
-        # already in the environment — the backward map then holds the edge
-        # twice, which must not break the countdown.
-        space = _space(["A", "(A -> A) -> A -> B"], "B")
-        assert (generate_patterns(space).patterns
-                == generate_patterns_with_predecessor_map(space).patterns)
+        # already in the environment — the edge waits on that child once,
+        # which must not break the countdown.
+        scene = (["A", "(A -> A) -> A -> B"], "B")
+        assert (generate_patterns(_space(*scene)).patterns
+                == oracle.generate_patterns_with_predecessor_map_reference(
+                    _reference_space(*scene)).patterns)
 
     def test_duplicate_child_with_missing_sibling_premise(self):
         # Like the case above, B is watched twice by the C edge (direct
@@ -150,19 +156,22 @@ class TestPredecessorMap:
         # *uninhabited*.  A double decrement for B would bring the
         # countdown to zero and wrongly mark C inhabited (found by
         # hypothesis; the fixpoint reference correctly says uninhabited).
-        space = _space(["B", "(B -> B) -> A -> B -> C"], "C")
-        batch = generate_patterns(space)
-        via_map = generate_patterns_with_predecessor_map(space)
-        assert not batch.is_inhabited(space.root)
-        assert batch.patterns == via_map.patterns
-        assert batch.inhabited == via_map.inhabited
+        scene = (["B", "(B -> B) -> A -> B -> C"], "C")
+        space = _space(*scene)
+        produced = generate_patterns(space)
+        via_map = oracle.generate_patterns_with_predecessor_map_reference(
+            _reference_space(*scene))
+        assert not produced.is_inhabited(space.root)
+        assert produced.patterns == via_map.patterns
+        assert produced.inhabited == via_map.inhabited
 
     @settings(max_examples=60, deadline=None)
     @given(environment_and_goal())
     def test_agreement_on_random_environments(self, env_goal):
         environment, goal = env_goal
-        space = explore(environment.succinct_environment(), sigma(goal))
-        batch = generate_patterns(space)
-        via_map = generate_patterns_with_predecessor_map(space)
-        assert batch.patterns == via_map.patterns
-        assert batch.inhabited == via_map.inhabited
+        env, succinct_goal = environment.succinct_environment(), sigma(goal)
+        produced = generate_patterns(explore(env, succinct_goal))
+        via_map = oracle.generate_patterns_with_predecessor_map_reference(
+            oracle.explore_reference(env, succinct_goal))
+        assert produced.patterns == via_map.patterns
+        assert produced.inhabited == via_map.inhabited

@@ -132,18 +132,6 @@ class TestVariants:
             parse("FileInputStream"))
         assert result.inhabited
 
-    def test_interleaved_and_batch_agree(self, stream_environment,
-                                         stream_subtypes):
-        goal = parse("SequenceInputStream")
-        interleaved = Synthesizer(
-            stream_environment, subtypes=stream_subtypes,
-            config=SynthesisConfig(interleaved=True)).synthesize(goal, n=6)
-        batch = Synthesizer(
-            stream_environment, subtypes=stream_subtypes,
-            config=SynthesisConfig(interleaved=False)).synthesize(goal, n=6)
-        assert [s.code for s in interleaved.snippets] == \
-            [s.code for s in batch.snippets]
-
     def test_fifo_and_priority_same_solutions(self, stream_environment):
         goal = parse("FileInputStream")
         priority = Synthesizer(

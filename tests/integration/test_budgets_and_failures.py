@@ -56,7 +56,7 @@ class TestProverBudget:
         # §5.6: with interleaving, patterns exist for whatever was explored.
         synthesizer = Synthesizer(
             big_scene.environment,
-            config=SynthesisConfig(max_explore_nodes=50, interleaved=True),
+            config=SynthesisConfig(max_explore_nodes=50),
             subtypes=big_scene.subtypes)
         space, patterns = synthesizer.prove(big_scene.goal)
         assert space.truncated

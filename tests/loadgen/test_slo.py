@@ -1,10 +1,13 @@
 """SLO accounting: exact merged percentiles and error-budget edges."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.bench.gate import check
+from repro.loadgen.chaos import ChaosController, ChaosPlan
 from repro.loadgen.slo import (GATES, SCHEMA, SLO, PhaseAccount,
                                SloAccountant, SloError, build_report,
                                evaluate_slos, percentile, report_findings)
@@ -241,6 +244,20 @@ class TestBuildReport:
             accountant, trace_doc={}, trace_digest="x",
             topology={}, chaos={"kills": 1, "recovered": True})
         assert report["chaos"] == {"kills": 1, "recovered": True}
+
+    def test_committed_bench_serve_has_the_emitters_shape(self):
+        """The repo-root BENCH_serve.json is what ``repro loadgen
+        --chaos --output`` writes: its chaos section has the keys of
+        `ChaosController.report`, and its whole-run and phase accounts
+        the keys of `PhaseAccount.snapshot`."""
+        path = Path(__file__).resolve().parents[2] / "BENCH_serve.json"
+        committed = json.loads(path.read_text(encoding="utf-8"))
+        chaos = ChaosController(ChaosPlan()).report(None, 0)
+        assert set(committed["chaos"]) == set(chaos)
+        account = set(PhaseAccount("x").snapshot())
+        assert set(committed["overall"]) == account
+        for name, phase in committed["phases"].items():
+            assert set(phase) == account, name
 
 
 class TestDeadlineBucket:

@@ -1,12 +1,12 @@
 """Arena/structural parity: the indexed prover equals the reference path.
 
-The production prover (`explore` + the indexed fixpoints in
-`generate_patterns`) runs over integer ids in an
-:class:`~repro.core.space.EnvArena`; `explore_reference` and the
-``*_reference`` fixpoints in ``tests/core/oracle.py`` are the structural
-transcription of Fig. 7/8/9.  These properties assert the two produce
-*identical* search spaces and pattern sets — node order, edge maps,
-predecessor maps, patterns and the inhabited relation — on random scenes,
+The production prover (`explore` + the one indexed fixpoint,
+`IndexedPatternGenerator`, behind `generate_patterns`) runs over integer
+ids in an :class:`~repro.core.space.EnvArena`; `explore_reference` and the
+``*_reference`` fixpoints in ``tests/core/oracle.py`` (post-hoc, Fig. 9,
+§5.7) are the structural transcription of Fig. 7/8/9.  These properties
+assert the two produce *identical* search spaces and pattern sets — node
+order, edge maps, patterns and the inhabited relation — on random scenes,
 including truncated (budgeted) runs and both queue disciplines.
 """
 
@@ -15,20 +15,17 @@ from hypothesis import strategies as st
 
 from repro.core.explore import explore
 from repro.core.generate_patterns import (IndexedPatternGenerator,
-                                          generate_patterns,
-                                          generate_patterns_incremental,
-                                          generate_patterns_with_predecessor_map)
+                                          generate_patterns)
 from repro.core.space import EnvArena
 from repro.core.succinct import sigma, sort_key
 from tests.core import oracle
 from tests.helpers import environments, simple_types
 
-#: The three production fixpoints and their structural oracles.
-PRODUCTION_FIXPOINTS = (generate_patterns, generate_patterns_incremental,
-                        generate_patterns_with_predecessor_map)
-ORACLE_FIXPOINTS = (oracle.generate_patterns_reference,
-                    oracle.generate_patterns_incremental_reference,
-                    oracle.generate_patterns_with_predecessor_map_reference)
+#: The structural oracles that read only ``space.edges``, so they run over
+#: the production space's views too; the §5.7 oracle also reads the
+#: backward map only the oracle's space builds.
+EDGE_ORACLES = (oracle.generate_patterns_reference,
+                oracle.generate_patterns_incremental_reference)
 
 
 @st.composite
@@ -67,10 +64,9 @@ def test_explore_matches_reference(case):
     assert indexed.truncated == reference.truncated
     assert indexed.iterations == reference.iterations
     # Byte-identical views: same visit order, same edge map (values are
-    # ordered tuples), same deduplicated predecessor map.
+    # ordered tuples).
     assert indexed.order == reference.order
     assert indexed.edges == reference.edges
-    assert indexed.predecessors == reference.predecessors
 
 
 @settings(max_examples=60, deadline=None)
@@ -78,15 +74,18 @@ def test_explore_matches_reference(case):
 def test_pattern_sets_match_across_all_fixpoints(case):
     indexed, reference = _run_both(*case)
     baseline = oracle.generate_patterns_reference(reference)
-    # The oracles read the production space's views as well as their own.
-    produced_sets = [fixpoint(indexed) for fixpoint in PRODUCTION_FIXPOINTS]
+    indexed_set = generate_patterns(indexed)
+    # The edge oracles read the production space's views as well as their
+    # own; the §5.7 oracle reads only its own space.
+    produced_sets = [indexed_set]
     produced_sets += [fixpoint(space) for space in (indexed, reference)
-                      for fixpoint in ORACLE_FIXPOINTS]
+                      for fixpoint in EDGE_ORACLES]
+    produced_sets.append(
+        oracle.generate_patterns_with_predecessor_map_reference(reference))
     for produced in produced_sets:
         assert produced.patterns == baseline.patterns
         assert produced.inhabited == baseline.inhabited
     # The Fig. 10 lookup index must agree entry for entry (same order).
-    indexed_set = generate_patterns(indexed)
     assert indexed_set._index == baseline._index
 
 

@@ -5,10 +5,10 @@ scenes Table 2 measures hold thousands.  For one Table-2 row this checks
 the production prover and reconstructor against the structural oracles in
 ``tests/core/oracle.py``:
 
-* prover — ``Synthesizer.prove`` (interleaved, no time limit) against
+* prover — ``Synthesizer.prove`` (no time limit) against
   ``explore_reference`` plus the post-hoc fixpoint under the same §5.6
-  priority: node order, edge and predecessor maps, patterns, the
-  inhabited set and the Fig. 10 lookup index;
+  priority: node order, edge map, patterns, the inhabited set and the
+  Fig. 10 lookup index;
 * reconstruction — ``Reconstructor`` against ``ReferenceReconstructor`` on
   that pattern set: the first ten ``(term, weight, order)`` and the stats.
 
@@ -41,7 +41,7 @@ def _first_snippets(reconstructor, goal):
 
 def _assert_oracle_parity(number):
     scene = build_scene(benchmark_by_number(number))
-    config = SynthesisConfig(prover_time_limit=None, interleaved=True)
+    config = SynthesisConfig(prover_time_limit=None)
     synthesizer = Synthesizer(scene.environment, config=config,
                               subtypes=scene.subtypes)
     environment, policy, goal = (synthesizer.environment, synthesizer.policy,
@@ -57,7 +57,6 @@ def _assert_oracle_parity(number):
     assert space.truncated == reference.truncated
     assert space.order == reference.order
     assert space.edges == reference.edges
-    assert space.predecessors == reference.predecessors
     assert patterns.patterns == baseline.patterns
     assert patterns.inhabited == baseline.inhabited
     assert patterns._index == baseline._index
