@@ -12,10 +12,9 @@ declaration count, so search-space sizes match row for row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
-from repro.bench.goldens import PAPER_ROWS, PaperRow, paper_row
+from repro.bench.goldens import PaperRow, paper_row
 from repro.core.errors import BenchmarkError
 from repro.corpus.synthetic import default_frequencies
 from repro.javamodel.jdk import shared_jdk

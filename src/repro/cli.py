@@ -936,6 +936,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
     import dataclasses
+    import shutil
     import tempfile
     from pathlib import Path
 
@@ -990,7 +991,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         return 0
 
     # -- topology ------------------------------------------------------------
-    process = None
+    process = scratch = None
     if args.attach is not None:
         host, _, port_text = args.attach.rpartition(":")
         if not host or not port_text.isdigit():
@@ -1003,9 +1004,10 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                   "it to be a supervised `repro route` (kills are "
                   "delivered to pids read off /healthz)")
     else:
-        workdir = Path(args.workdir) if args.workdir else Path(
-            tempfile.mkdtemp(prefix="repro-loadgen-"))
+        workdir = Path(args.workdir
+                       or tempfile.mkdtemp(prefix="repro-loadgen-"))
         workdir.mkdir(parents=True, exist_ok=True)
+        scratch = None if args.workdir else workdir
         topology_args = ("--backends", str(args.backends),
                          "--replication", str(args.replication),
                          "--journal", str(workdir / "journal.jsonl"),
@@ -1013,23 +1015,25 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         print(f"spawning router topology: {args.backends} backend(s), "
               f"replication {args.replication}, state under {workdir}",
               flush=True)
-        process, host, port = spawn_cli_server("route", topology_args,
-                                               label="loadgen-route")
 
     chaos_plan = (ChaosPlan(kills=args.kills, seed=trace.spec.seed,
                             mode="slow" if args.slow else "kill",
                             stall_s=args.stall_s)
                   if args.chaos else None)
-    config = DriverConfig(host=host, port=port,
-                          time_scale=args.time_scale, chaos=chaos_plan,
-                          deadline_ms=args.deadline_ms)
-
     stalled = None
     try:
+        if args.attach is None:
+            process, host, port = spawn_cli_server(
+                "route", topology_args, label="loadgen-route")
+        config = DriverConfig(host=host, port=port,
+                              time_scale=args.time_scale, chaos=chaos_plan,
+                              deadline_ms=args.deadline_ms)
         result = asyncio.run(replay_trace(trace, config))
     finally:
         if process is not None:
             stalled = stop_cli_server(process, host, port)
+        if scratch is not None:
+            shutil.rmtree(scratch, ignore_errors=True)
 
     chaos_doc = result.chaos.to_doc() if result.chaos is not None else None
     report = build_report(result.accountant, trace_doc=trace.to_doc(),
@@ -1210,8 +1214,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                   f"(consecutive_failures="
                   f"{breaker.get('consecutive_failures')}, "
                   f"opened_total={breaker.get('opened_total')}) "
-                  f"latency p95={window.get('p95_ms')} ms "
-                  f"ewma={window.get('ewma_ms')} ms")
+                  f"latency p50={window.get('p50_ms')} ms "
+                  f"p95={window.get('p95_ms')} ms")
     interned = core.get("interned_types", {})
     print(f"interned types: size={interned.get('size')} "
           f"limit={interned.get('limit')} "

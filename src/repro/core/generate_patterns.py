@@ -146,7 +146,6 @@ class IndexedPatternGenerator:
         self._space: Optional[IndexedSpace] = None
         self._pending: dict[int, set[int]] = {}    # edge -> pending children
         self._leaves: deque[int] = deque()
-        self._visited_leaves: set[int] = set()
         self._inhabited: set[int] = set()          # node ids
         self._watchers: dict[int, list[int]] = {}  # node -> waiting edges
         self._pattern_edges: set[int] = set()
@@ -170,9 +169,8 @@ class IndexedPatternGenerator:
         edge_node = isp.edge_node
         while self._leaves:
             leaf = self._leaves.popleft()
-            if leaf in self._visited_leaves:
+            if leaf in self._pattern_edges:
                 continue
-            self._visited_leaves.add(leaf)
             # PROD: emit the pattern of this (now fully witnessed) term.
             self._pattern_edges.add(leaf)
             node = edge_node[leaf]

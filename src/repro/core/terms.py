@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
-from repro.core.types import Arrow, BaseType, Type, argument_types, final_result, uncurry
+from repro.core.types import Type, argument_types, uncurry
 
 
 # ---------------------------------------------------------------------------

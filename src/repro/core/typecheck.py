@@ -23,8 +23,7 @@ from repro.core.errors import TypeCheckError, UnknownDeclarationError
 from repro.core.subtyping import SubtypeGraph
 from repro.core.terms import (Abstraction, Application, LNFTerm, Term,
                               Variable)
-from repro.core.types import (Arrow, BaseType, Type, argument_types,
-                              final_result, is_base, uncurry)
+from repro.core.types import Arrow, Type, is_base, uncurry
 
 
 def infer_type(term: Term, variable_types: Mapping[str, Type]) -> Type:

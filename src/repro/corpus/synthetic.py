@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.core.errors import CorpusError
-from repro.corpus.projects import CorpusProject, all_projects
+from repro.corpus.projects import all_projects
 from repro.corpus.stats import FrequencyTable
 
 #: Published marginals (§7.3).

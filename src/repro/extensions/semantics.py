@@ -22,7 +22,7 @@ This module supplies the two pieces:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.errors import ReproError
 from repro.core.subtyping import is_coercion_name

@@ -19,7 +19,7 @@ Generation is seeded, so every benchmark scene is reproducible bit-for-bit.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.environment import RenderSpec, RenderStyle
 from repro.javamodel.model import MemberTemplate, _member_type

@@ -19,7 +19,7 @@ globally unique — same economy the paper's succinct environments rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.core.environment import RenderSpec, RenderStyle

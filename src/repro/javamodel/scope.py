@@ -16,7 +16,7 @@ disabled, exactly the situation the "No weights" ablation probes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from repro.core.environment import (Declaration, DeclKind, Environment,

@@ -25,8 +25,7 @@ Lambda binders render as Scala closures: ``var1 => p(var1)`` for one binder,
 
 from __future__ import annotations
 
-from repro.core.environment import (Declaration, Environment, RenderSpec,
-                                    RenderStyle)
+from repro.core.environment import Environment, RenderStyle
 from repro.core.terms import LNFTerm
 from repro.core.types import Type, format_type
 

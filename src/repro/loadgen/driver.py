@@ -25,8 +25,8 @@ uses — so whatever it measures is what a real editor fleet would see:
 * a :class:`~repro.loadgen.chaos.ChaosPlan` strikes inside the
   chaos-eligible phase, between dispatches, mid-burst by construction.
 
-The result is an :class:`~repro.loadgen.slo.SloAccountant` full of raw
-samples plus the topology's own closing stats — everything
+The result is an :class:`~repro.loadgen.slo.SloAccountant` holding every
+measured latency plus the topology's own closing stats — everything
 ``BENCH_serve.json`` needs.
 """
 

@@ -1,12 +1,11 @@
 """SLO declarations, latency/error accounting, and the serve-side gate.
 
-The accountant keeps **raw samples** per phase.  That is deliberate:
-merged-window percentiles computed from summaries are approximations
-(the router's stats merge has to conservatively max them), but the load
-harness owns every sample it measured, so a p99 over any union of
-phases is an exact order statistic — and the unit suite asserts the
-merged computation equals a brute-force recompute over the
-concatenation.
+Each phase keeps every ok request's latency in a
+:class:`~repro.server.metrics.LatencyWindow` that never evicts:
+microsecond counts, the same window the server and router report.
+Windows merge by summing counts, so a p99 over any union of phases is
+an exact order statistic — and the unit suite asserts the merged counts
+equal the microsecond counts of the concatenated samples.
 
 :func:`build_report` turns an accountant plus trace/topology metadata
 into the ``BENCH_serve.json`` document; :func:`report_findings` is what
@@ -22,25 +21,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.bench import gate
-from repro.core.errors import ReproError
-from repro.server import metrics
+from repro.server.metrics import LatencyWindow
 
 SCHEMA = "bench-serve/v1"
-
-
-class SloError(ReproError):
-    """A malformed SLO declaration or report."""
-
-
-def percentile(samples: Sequence[float], fraction: float) -> Optional[float]:
-    """The *fraction*-quantile of *samples* as an exact order statistic.
-
-    :func:`repro.server.metrics.percentile`, the server's convention, with
-    the fraction range-checked.  ``None`` on no samples.
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise SloError(f"fraction must be in [0, 1], got {fraction}")
-    return metrics.percentile(samples, fraction)
 
 
 @dataclass
@@ -48,7 +31,8 @@ class PhaseAccount:
     """Everything measured for one phase."""
 
     name: str
-    latencies_ms: List[float] = field(default_factory=list)  # ok requests
+    #: Every ok request's latency (this window never evicts).
+    latency: LatencyWindow = field(default_factory=LatencyWindow)
     errors: int = 0
     error_codes: Dict[str, int] = field(default_factory=dict)
     cache_hits: int = 0
@@ -63,7 +47,7 @@ class PhaseAccount:
 
     @property
     def requests(self) -> int:
-        return len(self.latencies_ms) + self.errors + self.deadline_exceeded
+        return self.latency.count + self.errors + self.deadline_exceeded
 
     @property
     def error_rate(self) -> float:
@@ -85,13 +69,11 @@ class PhaseAccount:
         return self.cache_hits / self.completions
 
     def snapshot(self) -> dict:
-        def _r(value: Optional[float]) -> Optional[float]:
-            return None if value is None else round(value, 3)
-
-        latencies = self.latencies_ms
+        window = self.latency.snapshot()
+        p99 = self.latency.quantile(0.99)
         return {
             "requests": self.requests,
-            "ok": len(latencies),
+            "ok": window["count"],
             "errors": self.errors,
             "error_rate": round(self.error_rate, 5),
             "error_codes": dict(sorted(self.error_codes.items())),
@@ -100,13 +82,13 @@ class PhaseAccount:
             "completions": self.completions,
             "degraded": self.degraded,
             "deadline_exceeded": self.deadline_exceeded,
-            "cache_hit_rate": _r(self.cache_hit_rate),
-            "p50_ms": _r(percentile(latencies, 0.50)),
-            "p95_ms": _r(percentile(latencies, 0.95)),
-            "p99_ms": _r(percentile(latencies, 0.99)),
-            "mean_ms": _r(sum(latencies) / len(latencies)
-                          if latencies else None),
-            "max_ms": _r(max(latencies) if latencies else None),
+            "cache_hit_rate": (round(self.cache_hit_rate, 3)
+                               if self.completions else None),
+            "p50_ms": window["p50_ms"],
+            "p95_ms": window["p95_ms"],
+            "p99_ms": None if p99 is None else round(p99 * 1000, 3),
+            "mean_ms": window["mean_ms"],
+            "max_ms": window["max_ms"],
         }
 
 
@@ -129,7 +111,7 @@ class SloAccountant:
                   completion: bool = False, cache_hit: bool = False,
                   degraded: bool = False, retries: int = 0) -> None:
         account = self.phase(phase)
-        account.latencies_ms.append(latency_ms)
+        account.latency.record(latency_ms / 1000)
         account.retries += retries
         if completion:
             account.completions += 1
@@ -154,16 +136,15 @@ class SloAccountant:
     def merged(self, names: Optional[Iterable[str]] = None) -> PhaseAccount:
         """One account over the union of *names* (default: every phase).
 
-        Raw samples are concatenated, so percentiles of the merged
-        account are exact over the union — no summary-merge
-        approximation.
+        The phases' windows merge by summing counts, so percentiles of the
+        merged account are exact over the union.
         """
         selected = (self._phases.values() if names is None else
                     [self._phases[name] for name in names
                      if name in self._phases])
         merged = PhaseAccount("merged")
         for account in selected:
-            merged.latencies_ms.extend(account.latencies_ms)
+            merged.latency.merge(account.latency)
             merged.errors += account.errors
             merged.cache_hits += account.cache_hits
             merged.completions += account.completions

@@ -9,7 +9,6 @@ credible stand-in for a general prover like fCube.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 

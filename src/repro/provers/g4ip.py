@@ -29,7 +29,7 @@ L-impl-impl    ``(A -> B) -> C``: prove ``B -> C |- A -> B`` and ``C |- G``
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.core.errors import BudgetExhaustedError

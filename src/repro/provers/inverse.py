@@ -27,7 +27,6 @@ engine — the effect Table 2's Imogen column shows.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Iterable, Optional

@@ -11,7 +11,7 @@ one extra hypothesis ``sub -> super`` per direct edge.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.core.environment import Environment
 from repro.core.subtyping import SubtypeGraph

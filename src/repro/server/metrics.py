@@ -1,9 +1,10 @@
-"""Live serving metrics: counters, gauges and latency percentiles.
+"""Live serving metrics: counters, gauges and the one latency window.
 
 Everything here is mutated from the event loop only (the server records
 latencies after ``await``-ing executor work, never inside it), so plain
 ints and deques suffice — no locks.  ``/v1/stats`` serves
-:meth:`ServerMetrics.snapshot` verbatim.
+:meth:`ServerMetrics.snapshot` verbatim.  :class:`LatencyWindow` is also
+the router's per-backend window and the load harness's phase account.
 """
 
 from __future__ import annotations
@@ -13,42 +14,87 @@ from collections import Counter, deque
 from typing import Iterable, Optional
 
 
-def percentile(samples: Iterable[float], fraction: float) -> Optional[float]:
-    """The *fraction*-quantile (0..1) of *samples* as an exact order statistic.
-
-    Sorts the samples and indexes ``min(int(fraction * n), n - 1)``;
-    ``None`` on no samples.  The live windows here and in the router, and
-    the load harness's SLO accounting, all use this one convention.
-    """
-    ordered = sorted(samples)
-    if not ordered:
-        return None
-    return ordered[min(int(fraction * len(ordered)), len(ordered) - 1)]
-
-
 class LatencyWindow:
-    """Percentiles over the most recent *window* samples.
+    """Exact percentiles over the most recent *window* samples.
 
-    A bounded ring keeps the snapshot O(window log window) and makes the
-    percentiles reflect *current* behaviour rather than the whole process
-    lifetime (a cold start would otherwise poison p95 forever).
+    Keeps counts per whole microsecond (every latency reported is
+    rounded to one) of the last *window* samples, or of every sample
+    when *window* is ``None``.  A bounded window makes the percentiles
+    reflect *current* behaviour rather than the whole process lifetime
+    (a cold start would otherwise poison p95 forever); ``count`` and
+    ``total`` stay lifetime.  A percentile is the order statistic at
+    ``min(int(fraction * n), n - 1)`` of the *n* held samples, sorted.
+    Counts add, so windows merge exactly.
     """
 
-    def __init__(self, window: int = 2048):
-        if window <= 0:
+    def __init__(self, window: Optional[int] = None):
+        if window is not None and window <= 0:
             raise ValueError(f"window must be positive, got {window}")
-        self._samples: deque[float] = deque(maxlen=window)
-        self.count = 0
-        self.total = 0.0
+        #: Held samples in arrival order, so the oldest can be evicted.
+        self._recent: Optional[deque[int]] = (
+            None if window is None else deque(maxlen=window))
+        self._counts: Counter = Counter()      # microseconds -> held samples
+        self.count = 0                         # lifetime samples
+        self.total = 0.0                       # lifetime seconds
 
     def record(self, seconds: float) -> None:
-        self._samples.append(seconds)
+        micros = round(seconds * 1_000_000)
+        recent = self._recent
+        if recent is not None:
+            if len(recent) == recent.maxlen:
+                oldest = recent.popleft()
+                self._counts[oldest] -= 1
+                if not self._counts[oldest]:
+                    del self._counts[oldest]
+            recent.append(micros)
+        self._counts[micros] += 1
         self.count += 1
         self.total += seconds
 
-    def percentile(self, fraction: float) -> Optional[float]:
-        """The *fraction*-quantile (0..1) of the current window, or None."""
-        return percentile(self._samples, fraction)
+    @property
+    def window_count(self) -> int:
+        """How many samples the window holds now."""
+        return sum(self._counts.values())
+
+    def quantile(self, fraction: float) -> Optional[float]:
+        """The *fraction*-quantile (0..1) of the window in seconds, or
+        None on an empty window."""
+        held = self.window_count
+        if not held:
+            return None
+        rank = min(int(fraction * held), held - 1)
+        for micros in sorted(self._counts):
+            rank -= self._counts[micros]
+            if rank < 0:
+                break
+        return micros / 1_000_000
+
+    def reset(self) -> None:
+        """Forget the held samples; the lifetime count and total stay."""
+        self._counts.clear()
+        if self._recent is not None:
+            self._recent.clear()
+
+    def merge(self, other: LatencyWindow) -> None:
+        """Add *other*'s held samples, count and total to this window,
+        which must keep every sample (a bounded one could not tell which
+        merged sample to evict first)."""
+        if self._recent is not None:
+            raise ValueError("a bounded window cannot merge")
+        self._counts.update(other._counts)
+        self.count += other.count
+        self.total += other.total
+
+    @classmethod
+    def from_snapshots(cls, docs: Iterable[dict]) -> LatencyWindow:
+        """The window, keeping every sample, that merges the windows
+        whose :meth:`snapshot` documents are *docs*."""
+        window = cls()
+        for doc in docs:
+            window._counts.update(dict(doc.get("buckets_us", ())))
+            window.count += doc.get("count", 0)
+            window.total += (doc.get("total_ms") or 0.0) / 1000
+        return window
 
     def snapshot(self) -> dict:
         def _ms(seconds: Optional[float]) -> Optional[float]:
@@ -56,14 +102,18 @@ class LatencyWindow:
 
         # Like the percentiles, max covers the current window only — a
         # one-off cold-start spike ages out instead of poisoning the
-        # gauge forever.  count/mean stay lifetime.
+        # gauge forever.  count/mean/total stay lifetime.
         mean = self.total / self.count if self.count else None
+        buckets = sorted(self._counts.items())
         return {
             "count": self.count,
-            "p50_ms": _ms(self.percentile(0.50)),
-            "p95_ms": _ms(self.percentile(0.95)),
-            "max_ms": _ms(max(self._samples) if self._samples else None),
+            "p50_ms": _ms(self.quantile(0.50)),
+            "p95_ms": _ms(self.quantile(0.95)),
+            "max_ms": _ms(buckets[-1][0] / 1_000_000 if buckets else None),
             "mean_ms": _ms(mean),
+            "total_ms": _ms(self.total),
+            # Sorted [microseconds, count] pairs: what from_snapshots reads.
+            "buckets_us": [[micros, held] for micros, held in buckets],
         }
 
 

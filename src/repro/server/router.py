@@ -29,9 +29,8 @@ zero wire changes.  Its front side is the server's own
   backend lifecycle.
 * **Stats aggregation**: ``GET /v1/stats`` merges every backend's
   snapshot into one view — counters summed, latency windows merged
-  (count summed, mean weighted, percentiles conservatively maxed) — with
-  the per-shard truth under ``shards`` and the router's own counters
-  under ``router``.
+  exactly by summing their microsecond counts — with the per-shard
+  truth under ``shards`` and the router's own counters under ``router``.
 * **Replicated placement** (:meth:`HashRing.route_n`): every scene is
   journaled to R distinct ring owners (``replication``, default 2);
   reads go to the first healthy owner in ring order and fail over to a
@@ -83,7 +82,7 @@ from repro.server import protocol
 from repro.server.client import (AsyncCompletionClient, ClientConnectionError,
                                  SceneNotFoundError, ServerError,
                                  wait_until_healthy)
-from repro.server.metrics import percentile
+from repro.server.metrics import LatencyWindow
 from repro.server.protocol import (CompleteRequest, EditSceneRequest,
                                    ProtocolError, RegisterSceneRequest,
                                    ReleaseSceneRequest)
@@ -466,62 +465,6 @@ class RetryBudget:
         }
 
 
-class LatencyTracker:
-    """Per-backend service-time window + EWMA feeding the gray-failure
-    defences.
-
-    The bounded sample window yields the p95 that drives outlier
-    ejection and the hedge threshold; the EWMA is the cheap trend line
-    operators read off ``/healthz``.  A SIGSTOP'd backend never
-    *completes* calls, so its window is fed by the budget-clamped
-    timeouts it causes — slowness shows up here even when no call ever
-    returns.  ``reset`` clears the window (keeping the lifetime count)
-    so a recovered backend re-qualifies on fresh data instead of being
-    haunted by its stalled past.
-    """
-
-    def __init__(self, window: int = 128, alpha: float = 0.2):
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be within (0, 1], got {alpha}")
-        self._samples: deque = deque(maxlen=window)
-        self.alpha = alpha
-        self.ewma_ms: Optional[float] = None
-        self.count = 0                      # lifetime samples recorded
-
-    def record(self, seconds: float) -> None:
-        ms = seconds * 1000.0
-        self._samples.append(ms)
-        self.count += 1
-        self.ewma_ms = (ms if self.ewma_ms is None
-                        else self.alpha * ms + (1 - self.alpha) * self.ewma_ms)
-
-    @property
-    def window_count(self) -> int:
-        return len(self._samples)
-
-    def percentile(self, fraction: float) -> Optional[float]:
-        """The *fraction*-quantile (0..1) of the window, in ms, or None."""
-        return percentile(self._samples, fraction)
-
-    def reset(self) -> None:
-        self._samples.clear()
-        self.ewma_ms = None
-
-    def describe(self) -> dict:
-        def _round(value: Optional[float]) -> Optional[float]:
-            return None if value is None else round(value, 3)
-
-        return {
-            "count": self.count,
-            "window": len(self._samples),
-            "ewma_ms": _round(self.ewma_ms),
-            "p50_ms": _round(self.percentile(0.50)),
-            "p95_ms": _round(self.percentile(0.95)),
-        }
-
-
 class LastKnownGood:
     """Bounded LRU of the last successful completion per query shape.
 
@@ -584,7 +527,11 @@ class Backend:
     draining: bool = False                  # admin drain in progress
     inflight: int = 0                       # router calls outstanding
     answered: int = 0                       # router calls answered, ever
-    latency: LatencyTracker = field(default_factory=LatencyTracker)
+    #: Service times of the last 128 router calls, the budget-clamped
+    #: timeouts of a stalled backend included: its p95 drives outlier
+    #: ejection and the hedge delay.
+    latency: LatencyWindow = field(
+        default_factory=lambda: LatencyWindow(128))
     ejected: bool = False                   # latency outlier, demoted
     ejected_at: Optional[float] = None      # monotonic; rejoin clock
     load_ewma: float = 0.0                  # supervisor-sampled inflight
@@ -603,7 +550,7 @@ class Backend:
             "restarts": self.restarts,
             "inflight": self.inflight,
             "ejected": self.ejected,
-            "latency": self.latency.describe(),
+            "latency": self.latency.snapshot(),
             "load_ewma": round(self.load_ewma, 3),
             "breaker": self.breaker.describe(),
             "snapshot_path": self.snapshot_path,
@@ -1248,7 +1195,7 @@ class CompletionRouter:
         treats it like a half-open breaker (last resort, not first
         choice).  After ``EJECT_RESET_S`` the mark clears and the
         latency window resets, so readmission is judged on post-recovery
-        samples only.  Pure function of tracker state + *now*: unit
+        samples only.  Pure function of window state + *now*: unit
         tests drive it directly with fabricated samples and clocks.
         """
         backends = list(self.backends.values())
@@ -1268,9 +1215,9 @@ class CompletionRouter:
                 continue
             if backend.latency.window_count < minimum:
                 continue
-            mine = backend.latency.percentile(0.95)
+            mine = backend.latency.quantile(0.95)
             cohort = sorted(
-                sibling.latency.percentile(0.95)
+                sibling.latency.quantile(0.95)
                 for sibling in backends
                 if sibling is not backend
                 and sibling.latency.window_count >= minimum)
@@ -1717,9 +1664,9 @@ class CompletionRouter:
         """
         if self.HEDGE_FACTOR <= 0:
             return None
-        p95_ms = backend.latency.percentile(0.95)
+        p95 = backend.latency.quantile(0.95)
         delay = max(self.HEDGE_FLOOR_MS / 1000.0,
-                    (p95_ms or 0.0) / 1000.0 * self.HEDGE_FACTOR)
+                    (p95 or 0.0) * self.HEDGE_FACTOR)
         if deadline_at is not None:
             remaining = max(deadline_at - time.monotonic(), 0.0)
             delay = min(delay, remaining / 2)
@@ -2146,7 +2093,7 @@ class CompletionRouter:
                               for backend_id, backend
                               in self.backends.items() if backend.ejected),
             "backend_latency": {
-                backend_id: backend.latency.describe()
+                backend_id: backend.latency.snapshot()
                 for backend_id, backend in self.backends.items()},
             "rebalances": self.rebalances,
             "rebalance_events": list(self.rebalance_events),
@@ -2157,10 +2104,10 @@ class CompletionRouter:
 
         Counters are summed (the merged ``server`` section therefore
         equals the arithmetic sum of the per-backend counters), latency
-        windows are merged — counts summed, means request-weighted,
-        percentiles and max conservatively maxed (a true merged quantile
-        would need the raw samples) — and the untouched per-backend
-        payloads ride along under ``shards``.
+        windows are merged exactly — each shard's window is rebuilt from
+        its microsecond counts and the counts summed, so merged
+        percentiles and max are those of the union of the windows — and
+        the untouched per-backend payloads ride along under ``shards``.
         """
         async def _fetch(backend: Backend):
             try:
@@ -2246,27 +2193,6 @@ def _sum_numeric_sections(sections: list) -> dict:
     return merged
 
 
-def _merge_latency_windows(windows: list) -> dict:
-    """Merge latency snapshots: sum counts, weight means, max quantiles."""
-    counts = [window.get("count", 0) for window in windows]
-    total = sum(counts)
-
-    def _max(field: str) -> Optional[float]:
-        values = [window.get(field) for window in windows
-                  if window.get(field) is not None]
-        return max(values) if values else None
-
-    mean = None
-    if total:
-        weighted = sum(window.get("mean_ms") * count
-                       for window, count in zip(windows, counts)
-                       if window.get("mean_ms") is not None and count)
-        mean = round(weighted / total, 3)
-    return {"count": total, "p50_ms": _max("p50_ms"),
-            "p95_ms": _max("p95_ms"), "max_ms": _max("max_ms"),
-            "mean_ms": mean}
-
-
 def _merge_server_sections(sections: list) -> dict:
     """Merge backend ``server`` metric sections into one summed view."""
     merged = _sum_numeric_sections(
@@ -2281,8 +2207,8 @@ def _merge_server_sections(sections: list) -> dict:
     names = {name for section in sections
              for name in section.get("latency", {})}
     merged["latency"] = {
-        name: _merge_latency_windows(
-            [section.get("latency", {}).get(name, {})
-             for section in sections])
+        name: LatencyWindow.from_snapshots(
+            section.get("latency", {}).get(name, {})
+            for section in sections).snapshot()
         for name in sorted(names)}
     return merged

@@ -12,8 +12,9 @@ path works end-to-end; CI runs this after the unit suite.
 With ``--router`` the same drive runs against ``repro route`` over two
 supervised backend processes instead — the protocol is identical, so the
 very same assertions must hold, plus the aggregated ``/v1/stats`` view
-must carry one entry per shard, and every shard must have settled its
-heap.  CI runs both forms.
+must carry one entry per shard, its counters and latency windows must
+merge the shards' exactly, and every shard must have settled its heap.
+CI runs both forms.
 
 ``--stream`` adds the protocol v2 drive on top (composable with
 ``--router``): every scene is streamed as NDJSON cold and warm —
@@ -70,6 +71,7 @@ from typing import Optional, Sequence
 from repro.loadgen.chaos import (ChaosController, ChaosPlan, await_recovery,
                                  format_report, restart_count)
 from repro.server.client import AsyncCompletionClient, wait_until_healthy
+from repro.server.metrics import LatencyWindow
 from repro.server.router import spawn_cli_server, stop_cli_server
 
 #: Default scene set: every shipped example scene.
@@ -437,6 +439,16 @@ async def _drive(host: str, port: int, scene_paths: Sequence[Path],
                 assert stats["server"][counter] == total, (
                     f"aggregated {counter} {stats['server'][counter]} != "
                     f"per-shard sum {total}")
+            # ... and each merged window the shards' windows merged.
+            for name in ("complete", "warm", "synthesis"):
+                expected = LatencyWindow.from_snapshots(
+                    shard["stats"]["server"]["latency"][name]
+                    for shard in shard_list if "stats" in shard).snapshot()
+                merged = stats["server"]["latency"][name]
+                for key in ("count", "p50_ms", "p95_ms", "max_ms"):
+                    assert merged[key] == expected[key], (
+                        f"aggregated {name} {key} {merged[key]} != "
+                        f"{expected[key]} over the shards' windows")
             registered = [shard["stats"]["scenes"]["count"]
                           for shard in shard_list if "stats" in shard]
             assert all(count > 0 for count in registered), (

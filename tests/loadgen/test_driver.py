@@ -50,7 +50,7 @@ class TestOverloadRetries:
     def test_retries_until_success_with_jittered_sleeps(self, monkeypatch):
         client, sleeps, account = _replay_one(monkeypatch, failures=3)
         assert client.calls == 4
-        assert len(account.latencies_ms) == 1 and account.errors == 0
+        assert account.latency.count == 1 and account.errors == 0
         assert account.retries == 3
         assert len(sleeps) == 3
         for attempt, delay in enumerate(sleeps):

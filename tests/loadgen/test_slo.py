@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,8 +10,8 @@ import pytest
 from repro.bench.gate import check
 from repro.loadgen.chaos import ChaosController, ChaosPlan
 from repro.loadgen.slo import (GATES, SCHEMA, SLO, PhaseAccount,
-                               SloAccountant, SloError, build_report,
-                               evaluate_slos, percentile, report_findings)
+                               SloAccountant, build_report, evaluate_slos,
+                               report_findings)
 
 
 def brute_force_percentile(samples, fraction):
@@ -20,30 +21,26 @@ def brute_force_percentile(samples, fraction):
 
 
 class TestPercentile:
+    """A phase's percentiles as its report shows them (the window's own
+    property is in ``tests/server/test_metrics.py``)."""
+
     def test_empty_is_none(self):
-        assert percentile([], 0.95) is None
+        snapshot = PhaseAccount("idle").snapshot()
+        assert snapshot["p95_ms"] is None and snapshot["p99_ms"] is None
 
     def test_single_sample(self):
-        assert percentile([42.0], 0.5) == 42.0
-        assert percentile([42.0], 0.99) == 42.0
-
-    def test_matches_brute_force_on_random_data(self):
-        rng = random.Random(31)
-        samples = [rng.lognormvariate(1.0, 1.5) for _ in range(997)]
-        for fraction in (0.0, 0.5, 0.9, 0.95, 0.99, 1.0):
-            assert percentile(samples, fraction) == \
-                brute_force_percentile(samples, fraction)
-
-    def test_rejects_bad_fraction(self):
-        with pytest.raises(SloError):
-            percentile([1.0], 1.5)
+        accountant = SloAccountant()
+        accountant.record_ok("p", 42.0)
+        snapshot = accountant.phase("p").snapshot()
+        assert snapshot["p50_ms"] == 42.0
+        assert snapshot["p99_ms"] == 42.0
 
 
 class TestMergedPhases:
     def test_merged_p99_matches_brute_force_over_concatenation(self):
-        """The satellite's headline property: a p99 over merged phases
-        equals a brute-force recompute over the concatenated raw
-        samples — no summary-merge approximation."""
+        """A p99 over merged phases equals a brute-force recompute over
+        the concatenated samples: the merged window holds exactly their
+        microsecond counts."""
         rng = random.Random(67)
         accountant = SloAccountant()
         raw = {"steady": [rng.expovariate(0.01) for _ in range(400)],
@@ -57,7 +54,9 @@ class TestMergedPhases:
                       ("steady", "burst", "recovery")):
             merged = accountant.merged(names)
             concatenated = [s for name in names for s in raw[name]]
-            assert sorted(merged.latencies_ms) == sorted(concatenated)
+            assert merged.latency.snapshot()["buckets_us"] == [
+                [micros, count] for micros, count in sorted(
+                    Counter(round(ms * 1000) for ms in concatenated).items())]
             snapshot = merged.snapshot()
             for key, fraction in (("p50_ms", 0.50), ("p95_ms", 0.95),
                                   ("p99_ms", 0.99)):
@@ -267,7 +266,8 @@ class TestDeadlineBucket:
 
     def test_deadline_sheds_are_requests_but_not_errors(self):
         account = PhaseAccount("burst")
-        account.latencies_ms.extend([10.0] * 8)
+        for _ in range(8):
+            account.latency.record(0.010)
         account.deadline_exceeded = 2
         assert account.requests == 10
         assert account.errors == 0

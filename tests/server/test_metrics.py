@@ -1,14 +1,29 @@
 """Latency windows and serving counters."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.server.metrics import LatencyWindow, ServerMetrics
 
 
+def brute_force_percentile(samples, fraction):
+    """Independent recompute of the LatencyWindow convention."""
+    ordered = sorted(samples)
+    return ordered[min(int(fraction * len(ordered)), len(ordered) - 1)]
+
+
+def microsecond_counts(seconds):
+    """The ``buckets_us`` pairs a window holding *seconds* reports."""
+    return [[micros, count] for micros, count in
+            sorted(Counter(round(s * 1_000_000) for s in seconds).items())]
+
+
 class TestLatencyWindow:
     def test_empty_window(self):
         window = LatencyWindow()
-        assert window.percentile(0.5) is None
+        assert window.quantile(0.5) is None
         snapshot = window.snapshot()
         assert snapshot["count"] == 0
         assert snapshot["p95_ms"] is None
@@ -17,8 +32,8 @@ class TestLatencyWindow:
         window = LatencyWindow()
         for ms in range(1, 101):            # 1..100 ms
             window.record(ms / 1000)
-        assert window.percentile(0.50) == pytest.approx(0.051)
-        assert window.percentile(0.95) == pytest.approx(0.096)
+        assert window.quantile(0.50) == pytest.approx(0.051)
+        assert window.quantile(0.95) == pytest.approx(0.096)
         snapshot = window.snapshot()
         assert snapshot["count"] == 100
         assert snapshot["max_ms"] == pytest.approx(100.0)
@@ -31,7 +46,7 @@ class TestLatencyWindow:
         for _ in range(10):
             window.record(1.0)              # the window now holds only these
         assert window.count == 60
-        assert window.percentile(0.5) == pytest.approx(1.0)
+        assert window.quantile(0.5) == pytest.approx(1.0)
 
     def test_max_ages_out_with_the_window(self):
         window = LatencyWindow(window=10)
@@ -43,6 +58,30 @@ class TestLatencyWindow:
     def test_rejects_nonpositive_window(self):
         with pytest.raises(ValueError):
             LatencyWindow(window=0)
+
+    def test_matches_brute_force_on_random_data(self):
+        rng = random.Random(31)
+        samples = [rng.lognormvariate(1.0, 1.5) / 1000 for _ in range(997)]
+        window = LatencyWindow()
+        for sample in samples:
+            window.record(sample)
+        for fraction in (0.0, 0.5, 0.9, 0.95, 0.99, 1.0):
+            expected = round(brute_force_percentile(samples, fraction)
+                             * 1_000_000) / 1_000_000
+            assert window.quantile(fraction) == expected
+
+    def test_bounded_window_holds_exactly_its_last_samples(self):
+        rng = random.Random(7)
+        bound = 16
+        # Few distinct values, so evictions both decrement and empty
+        # a bucket.
+        samples = [rng.randint(1, 6) / 1000 for _ in range(3 * bound)]
+        window = LatencyWindow(window=bound)
+        for sample in samples:
+            window.record(sample)
+        assert window.window_count == bound
+        assert window.snapshot()["buckets_us"] == \
+            microsecond_counts(samples[-bound:])
 
 
 class TestServerMetrics:

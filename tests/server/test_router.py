@@ -18,6 +18,7 @@ import pytest
 
 from repro.server.client import (AsyncCompletionClient, SceneNotFoundError,
                                  ServerError)
+from repro.server.metrics import LatencyWindow
 from repro.server.router import (CompletionRouter, HashRing, RouterConfig,
                                  SceneJournal, check_config)
 from repro.server.server import AsyncCompletionServer, ServerConfig
@@ -534,6 +535,29 @@ class TestAggregatedStats:
                 assert window["p95_ms"] is not None
                 assert window["mean_ms"] is not None
                 assert window["max_ms"] >= window["p50_ms"]
+
+        asyncio.run(main())
+
+    def test_merged_window_is_exact_over_the_union(self):
+        """The merged percentiles are those of one window over every
+        shard's samples — not the largest shard percentile (which
+        would read 200 ms here)."""
+        async def main():
+            async with attached_router() as (router, backends, client):
+                fast, slow = backends
+                union = LatencyWindow()
+                for server, seconds, n in ((fast, 0.010, 100),
+                                           (slow, 0.200, 5)):
+                    for _ in range(n):
+                        server.metrics.latency["complete"].record(seconds)
+                        union.record(seconds)
+                window = (await client.stats())["server"]["latency"][
+                    "complete"]
+                assert (window["count"], window["p50_ms"], window["p95_ms"],
+                        window["max_ms"]) == (105, 10.0, 10.0, 200.0)
+                expected = union.snapshot()
+                for key in ("count", "p50_ms", "p95_ms", "max_ms"):
+                    assert window[key] == expected[key], key
 
         asyncio.run(main())
 

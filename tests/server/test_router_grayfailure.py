@@ -1,7 +1,7 @@
 """Gray-failure defences: deadlines, hedging, ejection, rebalancing.
 
-Unit tests drive the router's pure helpers (:class:`LatencyTracker`,
-the deadline clamps, the ejection sweep, the skew policy) with
+Unit tests drive the router's pure helpers (each backend's latency
+window, the deadline clamps, the ejection sweep, the skew policy) with
 fabricated samples and clocks — no sleeps, no races.  Behaviour tests
 run the router over *attached* in-process backends and simulate the
 gray failure with ``ServerConfig(inject_latency_ms=...)`` — a backend
@@ -13,6 +13,7 @@ the attempt timeout fires.
 import asyncio
 import contextlib
 import dataclasses
+import json
 import socket
 import threading
 
@@ -23,8 +24,7 @@ from repro.server.client import (AsyncCompletionClient,
                                  DeadlineExceededError, OverloadedError,
                                  ServerError)
 from repro.server.protocol import CompleteRequest, ProtocolError
-from repro.server.router import (Backend, CompletionRouter, LatencyTracker,
-                                 RouterConfig)
+from repro.server.router import Backend, CompletionRouter, RouterConfig
 from repro.server.server import AsyncCompletionServer, ServerConfig
 
 SCENE = """
@@ -45,45 +45,46 @@ goal Box{index}
 # -- latency tracker ---------------------------------------------------------
 
 
+def _backend() -> Backend:
+    return Backend(backend_id="t0", host="127.0.0.1", port=1, client=None)
+
+
 class TestLatencyTracker:
-    def test_records_window_ewma_and_lifetime_count(self):
-        tracker = LatencyTracker(window=4, alpha=0.5)
-        for seconds in (0.010, 0.020, 0.030, 0.040, 0.050):
-            tracker.record(seconds)
-        assert tracker.count == 5
-        assert tracker.window_count == 4    # bounded window dropped one
-        assert tracker.ewma_ms is not None and tracker.ewma_ms > 0
+    """Each backend tracks its service times in a 128-call
+    :class:`~repro.server.metrics.LatencyWindow`."""
 
     def test_percentile_of_empty_window_is_none(self):
-        tracker = LatencyTracker()
-        assert tracker.percentile(0.95) is None
-        assert tracker.describe()["p95_ms"] is None
+        backend = _backend()
+        assert backend.latency.quantile(0.95) is None
+        assert backend.describe()["latency"]["p95_ms"] is None
 
     def test_percentile_picks_the_tail(self):
-        tracker = LatencyTracker(window=100)
+        latency = _backend().latency
         for _ in range(99):
-            tracker.record(0.010)
-        tracker.record(1.0)                 # one outlier
-        assert tracker.percentile(0.5) == pytest.approx(10.0)
-        assert tracker.percentile(0.99) == pytest.approx(1000.0)
+            latency.record(0.010)
+        latency.record(1.0)                 # one outlier
+        assert latency.quantile(0.5) == pytest.approx(0.010)
+        assert latency.quantile(0.99) == pytest.approx(1.0)
 
     def test_reset_clears_window_but_keeps_lifetime_count(self):
-        tracker = LatencyTracker()
-        tracker.record(0.010)
-        tracker.record(0.020)
-        tracker.reset()
-        assert tracker.window_count == 0
-        assert tracker.ewma_ms is None
-        assert tracker.count == 2           # history stays in the books
+        latency = _backend().latency
+        latency.record(0.010)
+        latency.record(0.020)
+        latency.reset()
+        assert latency.window_count == 0
+        assert latency.quantile(0.5) is None
+        assert latency.count == 2           # history stays in the books
+        assert latency.total == pytest.approx(0.030)
 
     def test_describe_is_json_shaped(self):
-        tracker = LatencyTracker()
-        tracker.record(0.0125)
-        described = tracker.describe()
-        assert described["count"] == 1
-        assert described["window"] == 1
-        assert described["ewma_ms"] == pytest.approx(12.5)
-        assert described["p50_ms"] == described["p95_ms"]
+        backend = _backend()
+        for _ in range(200):
+            backend.latency.record(0.0125)
+        described = json.loads(json.dumps(backend.describe()))["latency"]
+        assert described["count"] == 200
+        assert described["buckets_us"] == [[12500, 128]]   # the last 128
+        assert described["p50_ms"] == described["p95_ms"] == 12.5
+        assert "ewma_ms" not in described
 
 
 # -- deadline clamps (unit) --------------------------------------------------

@@ -410,6 +410,56 @@ class TestLoadgenCommand:
         assert main(["loadgen", "--chaos", "--kills", "0",
                      "--emit-trace", "/dev/null"]) == 2
 
+    def test_removes_only_the_state_directory_it_made(self, tmp_path,
+                                                      monkeypatch, capsys):
+        """Without --workdir the topology's state lives in a directory
+        of loadgen's own making, removed once the router is stopped —
+        after a failed replay too; a --workdir directory stays."""
+        import tempfile
+        from pathlib import Path
+
+        import repro.loadgen.driver as driver
+        import repro.server.router as router
+        from repro.core.errors import ReproError
+        from repro.loadgen.driver import ReplayResult
+        from repro.loadgen.slo import SloAccountant
+
+        workdirs, stopped = [], []
+        fail = []
+
+        def fake_spawn(command, args=(), label=None):
+            journal = Path(args[list(args).index("--journal") + 1])
+            assert journal.parent.is_dir()
+            workdirs.append(journal.parent)
+            return object(), "127.0.0.1", 1
+
+        async def fake_replay(trace, config):
+            if fail:
+                raise ReproError("replay failed")
+            return ReplayResult(accountant=SloAccountant(), wall_seconds=0.0)
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(router, "spawn_cli_server", fake_spawn)
+        monkeypatch.setattr(router, "stop_cli_server",
+                            lambda process, host, port: stopped.append(
+                                process))
+        monkeypatch.setattr(driver, "replay_trace", fake_replay)
+
+        main(["loadgen", "--profile", "smoke"])
+        fail.append(True)
+        assert main(["loadgen", "--profile", "smoke"]) == 2
+        capsys.readouterr()
+        assert len(workdirs) == len(stopped) == 2
+        assert all(workdir.name.startswith("repro-loadgen-")
+                   for workdir in workdirs)
+        assert list(tmp_path.glob("repro-loadgen-*")) == []
+
+        kept = tmp_path / "state"
+        assert main(["loadgen", "--profile", "smoke",
+                     "--workdir", str(kept)]) == 2
+        capsys.readouterr()
+        assert workdirs[-1] == kept and kept.is_dir()
+
 
 class TestConfigFields:
     def test_config_fields_are_exactly_the_ones_the_cli_fills(self):
